@@ -210,8 +210,8 @@ type Metrics struct {
 }
 
 // buildSched assembles the scheduler configuration shared by Run and
-// Resume: machine, fresh engine, policy, fault injector, and the
-// telemetry/control hooks.
+// Resume: machine, policy, fault injector, and the telemetry/control
+// hooks.
 func buildSched(cfg RunConfig, sys SystemConfig) (sched.Config, *cluster.Machine, error) {
 	machine, err := BuildMachine(sys)
 	if err != nil {
@@ -230,7 +230,6 @@ func buildSched(cfg RunConfig, sys SystemConfig) (sched.Config, *cluster.Machine
 	}
 	scfg := sched.Config{
 		Machine:            machine,
-		Engine:             sim.New(),
 		Policy:             policy,
 		Oracle:             !sys.NonOracle,
 		BackfillDepth:      sys.BackfillDepth,

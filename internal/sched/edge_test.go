@@ -41,10 +41,8 @@ func TestCheckpointStretchAcrossSecondWindow(t *testing.T) {
 	zcAvail := availability.Periodic{Period: 1000, Uptime: 500}
 	m := cluster.NewMachine(cluster.NewPartition("zc", 8, zcAvail))
 	j := mkJob(1, 0, 1000, 4)
-	eng := sim.New()
 	s := mustNew(t, Config{
 		Machine:            m,
-		Engine:             eng,
 		Oracle:             false,
 		CheckpointInterval: 100,
 		CheckpointOverhead: 25,
@@ -77,7 +75,7 @@ func TestZeroLengthWindows(t *testing.T) {
 		zcAvail := availability.NewIntervalTrace(ws)
 		m := cluster.NewMachine(cluster.NewPartition("zc", 8, zcAvail))
 		j := mkJob(1, 0, 400, 4)
-		cfg := Config{Machine: m, Engine: sim.New(), Oracle: false}
+		cfg := Config{Machine: m, Oracle: false}
 		if faulted {
 			inj, err := faults.New(faults.Config{Seed: 9, ForecastErrSD: 10})
 			if err != nil {
@@ -131,7 +129,6 @@ func faultedTrace(t *testing.T, seed int64) []byte {
 	tr := obs.NewJSONL(&buf)
 	s := mustNew(t, Config{
 		Machine:            m,
-		Engine:             sim.New(),
 		Oracle:             false,
 		CheckpointInterval: 100,
 		Faults:             inj,
@@ -162,7 +159,7 @@ func TestInactiveFaultsMatchSeedBehavior(t *testing.T) {
 		)
 		var buf bytes.Buffer
 		tr := obs.NewJSONL(&buf)
-		s := mustNew(t, Config{Machine: m, Engine: sim.New(), Oracle: false,
+		s := mustNew(t, Config{Machine: m, Oracle: false,
 			Faults: inj, Tracer: tr})
 		for i := 0; i < 40; i++ {
 			j := mkJob(i+1, sim.Time(i*137%3000), sim.Time(100+(i*271)%700), 1+i%16)

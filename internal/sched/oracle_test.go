@@ -103,8 +103,7 @@ func TestSchedulerAgainstReference(t *testing.T) {
 		referenceFCFS(refs, totalNodes, 5000)
 
 		m := cluster.NewMachine(cluster.NewPartition("mira", totalNodes, availability.AlwaysOn{}))
-		eng := sim.New()
-		s := mustNew(t, Config{Machine: m, Engine: eng, Oracle: true, DisableBackfill: true})
+		s := mustNew(t, Config{Machine: m, Oracle: true, DisableBackfill: true})
 		for _, j := range jobs {
 			s.Submit(j)
 		}

@@ -65,7 +65,6 @@ func (p Policy) String() string {
 // Config configures a Scheduler.
 type Config struct {
 	Machine *cluster.Machine
-	Engine  *sim.Engine
 	// Policy is the queue discipline; default FCFS.
 	Policy Policy
 	// Oracle selects window-aware scheduling (the paper's model). When
@@ -205,13 +204,13 @@ type Result struct {
 type runningJob struct {
 	j   *job.Job
 	p   *cluster.Partition
-	end *sim.Event
+	end sim.Handle
 }
 
 // Scheduler is the event-driven batch scheduler.
 type Scheduler struct {
 	cfg            Config
-	eng            *sim.Engine
+	eng            *sim.Engine[pendingEvent]
 	tracer         obs.Tracer
 	tracing        bool       // tracer is live (non-Nop); guards trace-only work
 	queue          []*job.Job // FCFS order: (Submit, ID)
@@ -253,14 +252,11 @@ type Scheduler struct {
 	resTime    sim.Time // its reserved start time
 }
 
-// New creates a Scheduler. Machine and Engine are required; a nil or
-// misconfigured Config is reported as an error, never a panic.
+// New creates a Scheduler on a fresh event engine. Machine is required;
+// a nil or misconfigured Config is reported as an error, never a panic.
 func New(cfg Config) (*Scheduler, error) {
 	if cfg.Machine == nil {
 		return nil, fmt.Errorf("sched: Config requires a Machine")
-	}
-	if cfg.Engine == nil {
-		return nil, fmt.Errorf("sched: Config requires an Engine")
 	}
 	if cfg.Predictor == nil && cfg.PredictedWindow > 0 {
 		cfg.Predictor = fixedPredictor(cfg.PredictedWindow)
@@ -270,7 +266,7 @@ func New(cfg Config) (*Scheduler, error) {
 	}
 	s := &Scheduler{
 		cfg:     cfg,
-		eng:     cfg.Engine,
+		eng:     sim.New[pendingEvent](),
 		tracer:  cfg.Tracer,
 		tracing: obs.Enabled(cfg.Tracer),
 		running: make(map[int]*runningJob),
@@ -321,7 +317,7 @@ var ErrInterrupted = errors.New("sched: run interrupted")
 // polls. A context poll is a channel select; doing one per event would
 // slow the hot loop measurably, so cancellation latency is bounded by
 // one stride of events (microseconds of wall clock) instead.
-const cancelStride = sim.DefaultCancelStride
+const cancelStride = 64
 
 // Run executes the simulation until all jobs finish or deadline passes,
 // and returns the result. Deadline bounds runs whose workload exceeds
@@ -384,7 +380,9 @@ func (s *Scheduler) RunContext(ctx context.Context, deadline sim.Time) (Result, 
 		if s.cfg.Interrupt != nil && s.cfg.Interrupt() {
 			return Result{}, ErrInterrupted
 		}
-		s.eng.Step()
+		if now, pe, ok := s.eng.Next(); ok {
+			s.exec(pe, now)
+		}
 		if err := s.eng.Err(); err != nil && s.err == nil {
 			s.err = fmt.Errorf("sched: %w", err)
 		}

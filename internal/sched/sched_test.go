@@ -23,8 +23,7 @@ func runJobs(t *testing.T, m *cluster.Machine, jobs []*job.Job, oracle bool, dea
 	if t != nil {
 		t.Helper()
 	}
-	eng := sim.New()
-	s, err := New(Config{Machine: m, Engine: eng, Oracle: oracle})
+	s, err := New(Config{Machine: m, Oracle: oracle})
 	if err != nil {
 		panic(err)
 	}
@@ -224,8 +223,7 @@ func TestPredictiveAdmission(t *testing.T) {
 	m := cluster.NewMachine(cluster.NewPartition("zc", 8, zcAvail))
 	long := mkJob(1, 0, 400, 4)
 	short := mkJob(2, 0, 200, 4)
-	eng := sim.New()
-	s := mustNew(t, Config{Machine: m, Engine: eng, Oracle: false, PredictedWindow: 300})
+	s := mustNew(t, Config{Machine: m, Oracle: false, PredictedWindow: 300})
 	s.Submit(long)
 	s.Submit(short)
 	res := mustRun(t, s, 10000)
@@ -250,8 +248,7 @@ func TestPredictiveStillKilledOnShortWindow(t *testing.T) {
 	zcAvail := availability.Periodic{Period: 1000, Uptime: 500}
 	m := cluster.NewMachine(cluster.NewPartition("zc", 8, zcAvail))
 	j := mkJob(1, 0, 600, 4)
-	eng := sim.New()
-	s := mustNew(t, Config{Machine: m, Engine: eng, Oracle: false, PredictedWindow: 800})
+	s := mustNew(t, Config{Machine: m, Oracle: false, PredictedWindow: 800})
 	s.Submit(j)
 	res := mustRun(t, s, 5000)
 	if j.Completed {
@@ -269,8 +266,7 @@ func TestPredictiveIgnoresAlwaysOn(t *testing.T) {
 	// The predictor must not throttle the always-on partition.
 	m := cluster.NewMachine(cluster.NewPartition("mira", 8, nil))
 	j := mkJob(1, 0, 5000, 8)
-	eng := sim.New()
-	s := mustNew(t, Config{Machine: m, Engine: eng, Oracle: false, PredictedWindow: 100})
+	s := mustNew(t, Config{Machine: m, Oracle: false, PredictedWindow: 100})
 	s.Submit(j)
 	mustRun(t, s, 1e6)
 	if !j.Completed {
@@ -285,10 +281,8 @@ func TestCheckpointRestart(t *testing.T) {
 	zcAvail := availability.Periodic{Period: 1000, Uptime: 500}
 	m := cluster.NewMachine(cluster.NewPartition("zc", 8, zcAvail))
 	j := mkJob(1, 0, 900, 4)
-	eng := sim.New()
 	s := mustNew(t, Config{
 		Machine:            m,
-		Engine:             eng,
 		Oracle:             false,
 		CheckpointInterval: 100,
 	})
@@ -311,10 +305,8 @@ func TestCheckpointOverheadStretch(t *testing.T) {
 	// Overhead 10 per 100 of work stretches a 200-long job to 220 wall.
 	m := cluster.NewMachine(cluster.NewPartition("zc", 8, availability.Periodic{Period: 1000, Uptime: 900}))
 	j := mkJob(1, 0, 200, 4)
-	eng := sim.New()
 	s := mustNew(t, Config{
 		Machine:            m,
-		Engine:             eng,
 		Oracle:             false,
 		CheckpointInterval: 100,
 		CheckpointOverhead: 10,
@@ -338,8 +330,7 @@ func TestCheckpointProgressBounded(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		jobs = append(jobs, mkJob(i+1, sim.Time(r.Intn(2000)), sim.Time(50+r.Intn(400)), 1+r.Intn(8)))
 	}
-	eng := sim.New()
-	s := mustNew(t, Config{Machine: m, Engine: eng, Oracle: false, CheckpointInterval: 25})
+	s := mustNew(t, Config{Machine: m, Oracle: false, CheckpointInterval: 25})
 	for _, j := range jobs {
 		s.Submit(j)
 	}
@@ -399,9 +390,8 @@ func TestLoadBalancingAcrossPartitions(t *testing.T) {
 
 func TestClassification(t *testing.T) {
 	zcAvail := availability.Periodic{Period: 1000, Uptime: 500}
-	eng := sim.New()
 	m := cluster.NewMachine(cluster.NewPartition("zc", 8, zcAvail))
-	s := mustNew(t, Config{Machine: m, Engine: eng, Oracle: true, Classify: zcAvail})
+	s := mustNew(t, Config{Machine: m, Oracle: true, Classify: zcAvail})
 	onTime := mkJob(1, 100, 300, 1) // up at 100, 100+300 <= 500
 	late1 := mkJob(2, 300, 300, 1)  // up at 300 but 300+300 > 500
 	late2 := mkJob(3, 600, 100, 1)  // down at 600
@@ -428,8 +418,7 @@ func TestDeterminism(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			jobs = append(jobs, mkJob(i+1, sim.Time(r.Intn(10000)), sim.Time(1+r.Intn(900)), 1+r.Intn(32)))
 		}
-		eng := sim.New()
-		s := mustNew(t, Config{Machine: m, Engine: eng, Oracle: true})
+		s := mustNew(t, Config{Machine: m, Oracle: true})
 		for _, j := range jobs {
 			s.Submit(j)
 		}
@@ -533,8 +522,7 @@ func TestBackfillDepthLimit(t *testing.T) {
 	b := mkJob(2, 1, 100, 8) // head, reserved at 100
 	c := mkJob(3, 2, 200, 1) // depth-1 candidate; would delay B → skipped
 	d := mkJob(4, 3, 50, 1)  // would backfill, but beyond depth
-	eng := sim.New()
-	s := mustNew(t, Config{Machine: singleMachine(8), Engine: eng, Oracle: true, BackfillDepth: 1})
+	s := mustNew(t, Config{Machine: singleMachine(8), Oracle: true, BackfillDepth: 1})
 	for _, j := range []*job.Job{a, b, c, d} {
 		s.Submit(j)
 	}
@@ -548,13 +536,10 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("New(Config{}) should report the missing machine")
 	}
-	if _, err := New(Config{Machine: singleMachine(8)}); err == nil {
-		t.Error("New without an engine should error")
-	}
 }
 
 func TestSubmitRejectsInvalidJob(t *testing.T) {
-	s := mustNew(t, Config{Machine: singleMachine(8), Engine: sim.New(), Oracle: true})
+	s := mustNew(t, Config{Machine: singleMachine(8), Oracle: true})
 	if err := s.Submit(&job.Job{ID: 1, Nodes: 0, Runtime: 10, Request: 10}); err == nil {
 		t.Error("Submit should reject a zero-node job")
 	}
@@ -564,8 +549,7 @@ func TestSubmitRejectsInvalidJob(t *testing.T) {
 }
 
 func TestQueueAccessors(t *testing.T) {
-	eng := sim.New()
-	s := mustNew(t, Config{Machine: singleMachine(8), Engine: eng, Oracle: true})
+	s := mustNew(t, Config{Machine: singleMachine(8), Oracle: true})
 	if s.QueueLen() != 0 || s.RunningCount() != 0 {
 		t.Error("fresh scheduler should be empty")
 	}

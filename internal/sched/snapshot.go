@@ -1,12 +1,10 @@
 // Scheduler snapshot and restore.
 //
-// The engine's pending queue holds closures, which cannot be serialized.
-// Every event the scheduler schedules therefore goes through
-// s.schedule(pendingEvent{...}): the pendingEvent is a plain serializable
-// descriptor, the closure just dispatches on its Kind, and the descriptor
-// rides along on the sim.Event via Tag. A snapshot is then the engine's
-// counters plus the descriptors of the pending queue in dispatch order;
-// restore re-schedules the descriptors in that exact order on a fresh
+// The scheduler's engine is a sim.Engine[pendingEvent]: every pending
+// event is a plain serializable descriptor, and RunContext dispatches
+// each one it pops through exec, which switches on its Kind. A snapshot
+// is then the engine's counters plus the pending descriptors in dispatch
+// order; restore re-schedules them in that exact order on a fresh
 // engine, which reassigns insertion sequences 0..n-1 and so preserves
 // every same-instant tie-break. The continuation of a restored run is
 // byte-identical to the uninterrupted run (pinned by TestSnapshotRoundTrip).
@@ -35,8 +33,7 @@ const SnapshotVersion = 1
 // snapshots stay self-describing.
 type eventKind string
 
-// Pending-event kinds, one per closure the scheduler used to register
-// with the engine directly.
+// Pending-event kinds, one per kind of work the scheduler defers.
 const (
 	evArrival        eventKind = "arrival"          // Job: job arrival at its submit time
 	evPass           eventKind = "pass"             // coalesced scheduling pass
@@ -66,11 +63,9 @@ type pendingEvent struct {
 	Outage *faults.Outage     `json:"outage,omitempty"`
 }
 
-// schedule queues one descriptor-backed event. All scheduler events go
-// through here so that the pending queue is fully enumerable at snapshot
-// time.
-func (s *Scheduler) schedule(pe pendingEvent) *sim.Event {
-	return s.eng.Schedule(pe.At, pe.Prio, func(now sim.Time) { s.exec(pe, now) }).Tag(pe)
+// schedule queues one event at its descriptor's time and priority.
+func (s *Scheduler) schedule(pe pendingEvent) sim.Handle {
+	return s.eng.Schedule(pe.At, pe.Prio, pe)
 }
 
 // exec dispatches one descriptor. A descriptor that no longer matches
@@ -295,13 +290,7 @@ func (s *Scheduler) Snapshot() (*Snapshot, error) {
 			Name: p.Name, Free: p.Free(), Running: p.Running(), Offline: p.Offline(),
 		})
 	}
-	for _, ev := range s.eng.PendingInOrder() {
-		pe, ok := ev.Payload().(pendingEvent)
-		if !ok {
-			return nil, fmt.Errorf("sched: pending event at %v has no descriptor; cannot snapshot", ev.At())
-		}
-		snap.Pending = append(snap.Pending, pe)
-	}
+	snap.Pending = s.eng.PendingInOrder()
 	if len(s.queueAt) > 0 {
 		snap.QueueAt = s.queueAt
 	}
@@ -321,11 +310,11 @@ func (s *Scheduler) Snapshot() (*Snapshot, error) {
 }
 
 // Restore builds a scheduler resuming from snap. cfg must describe the
-// same run the snapshot was taken from (same machine, policy, fault
-// model, and a fresh engine): Restore verifies the configuration
-// fingerprint and refuses a mismatched or version-skewed snapshot rather
-// than silently mixing runs. Call Run with the original deadline to
-// continue; the continuation is byte-identical to the uninterrupted run.
+// same run the snapshot was taken from (same machine, policy and fault
+// model): Restore verifies the configuration fingerprint and refuses a
+// mismatched or version-skewed snapshot rather than silently mixing
+// runs. Call Run with the original deadline to continue; the
+// continuation is byte-identical to the uninterrupted run.
 func Restore(cfg Config, snap *Snapshot) (*Scheduler, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("sched: nil snapshot")

@@ -15,8 +15,7 @@ func traceRun(t *testing.T, m *cluster.Machine, jobs []*job.Job, oracle bool) (*
 	t.Helper()
 	mem := &obs.Mem{}
 	reg := obs.NewRegistry()
-	eng := sim.New()
-	s := mustNew(t, Config{Machine: m, Engine: eng, Oracle: oracle, Tracer: mem, Metrics: reg})
+	s := mustNew(t, Config{Machine: m, Oracle: oracle, Tracer: mem, Metrics: reg})
 	for _, j := range jobs {
 		s.Submit(j)
 	}

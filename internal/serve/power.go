@@ -281,7 +281,8 @@ func (s *Server) expireParked(now time.Time) {
 
 // resubmitParked feeds parked runs back into the admission queue while
 // a window is open. A full queue stops the pass — the rest retry next
-// tick rather than blocking the power loop.
+// tick rather than blocking the power loop. Each run's queued record is
+// journaled under r.mu, before its worker can start it.
 func (s *Server) resubmitParked() {
 	s.admitMu.RLock()
 	defer s.admitMu.RUnlock()
@@ -294,18 +295,14 @@ func (s *Server) resubmitParked() {
 			r.mu.Unlock()
 			continue
 		}
-		r.state = StateQueued
-		r.mu.Unlock()
 		select {
 		case s.queue <- r:
-			s.scope.Counter("power_resubmitted").Inc()
+			r.state = StateQueued
 			s.journal.append(journalRecord{Time: time.Now(), Run: r.id, Name: r.spec.Name, State: StateQueued}, r.id, string(StateQueued))
+			r.mu.Unlock()
+			s.scope.Counter("power_resubmitted").Inc()
 			r.log.Info("parked run resubmitted", "state", string(StateQueued))
 		default:
-			r.mu.Lock()
-			if r.state == StateQueued {
-				r.state = StateParkedPower
-			}
 			r.mu.Unlock()
 			return
 		}
@@ -398,24 +395,25 @@ func (s *Server) parkAtAdmission(spec Spec, now time.Time, deadline time.Duratio
 	if deadline > 0 {
 		r.deadline = now.Add(deadline)
 	}
+	// Held until the parked record is journaled, so a concurrent Cancel
+	// or resubmission journals after it.
+	r.mu.Lock()
 	s.mu.Lock()
 	s.nextID++
 	r.id = fmt.Sprintf("r-%06d", s.nextID)
+	r.log = s.log.With("run_id", r.id)
 	s.runs[r.id] = r
 	s.order = append(s.order, r.id)
 	s.mu.Unlock()
-	r.log = s.log.With("run_id", r.id)
-	if p := s.persistParked(parkedRecord{ID: r.id, Spec: spec, Submitted: now, Deadline: r.deadline}, r.log); p != "" {
-		r.mu.Lock()
-		r.parkedPath = p
-		r.mu.Unlock()
-	}
+	r.parkedPath = s.persistParked(parkedRecord{ID: r.id, Spec: spec, Submitted: now, Deadline: r.deadline}, r.log)
+	s.journal.append(journalRecord{Time: now, Run: r.id, Name: spec.Name, State: StateParkedPower}, r.id, string(StateParkedPower))
+	info := r.infoLocked()
+	r.mu.Unlock()
 	s.scope.Counter("runs_submitted").Inc()
 	s.scope.Counter("power_admit_park").Inc()
-	s.journal.append(journalRecord{Time: now, Run: r.id, Name: spec.Name, State: StateParkedPower}, r.id, string(StateParkedPower))
 	r.log.Info("run parked for power", "state", string(StateParkedPower), "reason", wd.Reason,
 		"retry_in", wd.RetryAfter.String(), "spec", describeSpec(spec))
-	return r.info()
+	return info
 }
 
 // parkInterrupted settles a power-preempted run: its snapshot is saved
@@ -458,18 +456,15 @@ func (s *Server) parkInterrupted(r *run, intr *core.Interrupted, sink tracebin.S
 		r.resumeSnap = snap
 	}
 	r.cancel = nil
-	rec := journalRecord{Time: now, Run: r.id, Name: r.spec.Name, State: StateParkedPower, Checkpoint: snapPath}
 	prec := parkedRecord{ID: r.id, Spec: r.spec, Submitted: r.submitted, Deadline: r.deadline, Snapshot: snapPath}
-	rl := r.log
-	r.mu.Unlock()
-	if p := s.persistParked(prec, rl); p != "" {
-		r.mu.Lock()
+	if p := s.persistParked(prec, r.log); p != "" {
 		r.parkedPath = p
-		r.mu.Unlock()
 	}
+	s.journal.append(journalRecord{Time: now, Run: r.id, Name: r.spec.Name, State: StateParkedPower, Checkpoint: snapPath},
+		r.id, string(StateParkedPower))
+	r.mu.Unlock()
 	s.scope.Counter("power_parked_midrun").Inc()
-	s.journal.append(rec, rec.Run, string(rec.State))
-	rl.Info("run parked for power", "state", string(StateParkedPower), "checkpoint", snapPath)
+	r.log.Info("run parked for power", "state", string(StateParkedPower), "checkpoint", snapPath)
 }
 
 // persistParked writes a parked record (advisory: without a data dir,
@@ -537,9 +532,11 @@ func (s *Server) readoptParked() {
 			submitted: rec.Submitted, deadline: rec.Deadline,
 			snapPath: rec.Snapshot, parkedPath: path}
 		r.log = s.log.With("run_id", r.id)
+		r.mu.Lock() // until the re-adoption is journaled
 		s.mu.Lock()
 		if _, dup := s.runs[r.id]; dup {
 			s.mu.Unlock()
+			r.mu.Unlock()
 			continue
 		}
 		s.runs[r.id] = r
@@ -548,10 +545,11 @@ func (s *Server) readoptParked() {
 			s.nextID = n
 		}
 		s.mu.Unlock()
-		adopted++
-		s.scope.Counter("power_readopted").Inc()
 		s.journal.append(journalRecord{Time: time.Now(), Run: r.id, Name: r.spec.Name,
 			State: StateParkedPower, Checkpoint: rec.Snapshot}, r.id, string(StateParkedPower))
+		r.mu.Unlock()
+		adopted++
+		s.scope.Counter("power_readopted").Inc()
 		r.log.Info("parked run re-adopted", "state", string(StateParkedPower), "snapshot", rec.Snapshot)
 	}
 	if adopted > 0 && !s.power.Enabled() {

@@ -112,6 +112,11 @@ type run struct {
 func (r *run) info() RunInfo {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.infoLocked()
+}
+
+// infoLocked is info with r.mu already held.
+func (r *run) infoLocked() RunInfo {
 	ri := RunInfo{
 		ID:         r.id,
 		Name:       r.spec.Name,

@@ -357,9 +357,14 @@ func (s *Server) Submit(spec Spec) (RunInfo, error) {
 	s.mu.Unlock()
 	r.log = s.log.With("run_id", r.id)
 
+	// r.mu is held from publication until the queued record is
+	// journaled: a worker's start and a client's Cancel both take r.mu,
+	// so their records always land after this one.
+	r.mu.Lock()
 	select {
 	case s.queue <- r:
 	default:
+		r.mu.Unlock()
 		s.scope.Counter("runs_shed").Inc()
 		s.scope.Counter("outcome_shed").Inc()
 		r.log.Warn("run shed", "state", "shed", "queue_depth", s.cfg.QueueDepth)
@@ -369,14 +374,16 @@ func (s *Server) Submit(spec Spec) (RunInfo, error) {
 	s.runs[r.id] = r
 	s.order = append(s.order, r.id)
 	s.mu.Unlock()
+	s.journal.append(journalRecord{Time: time.Now(), Run: r.id, Name: spec.Name, State: StateQueued}, r.id, string(StateQueued))
+	info := r.infoLocked()
+	r.mu.Unlock()
 	s.scope.Counter("runs_submitted").Inc()
 	s.scope.Gauge("queue_high_water").SetMax(float64(len(s.queue)))
 	admissionWait := time.Since(admitStart).Seconds()
 	s.scope.Histogram("admission_wait_seconds", 0, admissionHistHi, lifecycleBuck).Observe(admissionWait)
-	s.journal.append(journalRecord{Time: time.Now(), Run: r.id, Name: spec.Name, State: StateQueued}, r.id, string(StateQueued))
 	r.log.Info("run admitted", "state", string(StateQueued), "spec", describeSpec(spec),
 		"queue_len", len(s.queue), "admission_wait_s", admissionWait)
-	return r.info(), nil
+	return info, nil
 }
 
 // Get returns a run's current view.
@@ -424,12 +431,10 @@ func (s *Server) Cancel(id string) (RunInfo, error) {
 		return r.info(), ErrTerminal
 	case r.state == StateQueued, r.state == StateParkedPower:
 		rec := r.finishLocked(StateCancelled, "cancelled by client", "", nil, nil, time.Now())
-		parkedPath, snapPath := r.parkedPath, r.snapPath
-		rl := r.log
+		s.recordFinish(rec, lifecycleTimes{execSec: -1, parkSec: -1}, r.log)
+		removeQuiet(r.parkedPath)
+		removeQuiet(r.snapPath)
 		r.mu.Unlock()
-		s.recordFinish(rec, lifecycleTimes{execSec: -1, parkSec: -1}, rl)
-		removeQuiet(parkedPath)
-		removeQuiet(snapPath)
 	default:
 		if r.interruptedAt.IsZero() {
 			r.interruptedAt = time.Now()
@@ -691,18 +696,20 @@ func (r *run) finishLocked(st State, errMsg, checkpoint string, m *core.Metrics,
 }
 
 // lifecycleTimes captures the durations a terminal transition closes
-// out; finish computes it under r.mu so recordFinish can observe the
-// histograms lock-free.
+// out.
 type lifecycleTimes struct {
 	execSec float64 // started → finished; < 0 if the run never started
 	parkSec float64 // interrupt → finished; < 0 if never interrupted
 }
 
 // finish finalizes a run unless it already reached a terminal state.
+// The terminal record is journaled and the park artifacts removed under
+// r.mu, so a client that observes the terminal state finds it durable
+// and the artifacts gone.
 func (s *Server) finish(r *run, st State, errMsg, checkpoint string, m *core.Metrics, tbl *experiments.Table) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.state.Terminal() {
-		r.mu.Unlock()
 		return
 	}
 	rec := r.finishLocked(st, errMsg, checkpoint, m, tbl, time.Now())
@@ -713,15 +720,12 @@ func (s *Server) finish(r *run, st State, errMsg, checkpoint string, m *core.Met
 	if !r.interruptedAt.IsZero() {
 		lt.parkSec = r.finished.Sub(r.interruptedAt).Seconds()
 	}
-	parkedPath, snapPath := r.parkedPath, r.snapPath
-	rl := r.log
-	r.mu.Unlock()
-	s.recordFinish(rec, lt, rl)
+	s.recordFinish(rec, lt, r.log)
 	if st != StateCheckpointed {
 		// Parked-for-power artifacts outlive only non-terminal states
 		// (and checkpointed, which a successor server re-adopts).
-		removeQuiet(parkedPath)
-		removeQuiet(snapPath)
+		removeQuiet(r.parkedPath)
+		removeQuiet(r.snapPath)
 	}
 }
 

@@ -425,10 +425,13 @@ func TestExperimentSpecRuns(t *testing.T) {
 
 func TestJournalSicknessDoesNotFailRuns(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
-	// Swap in a journal sink whose appender always fails: every record
-	// is dropped, but runs must still reach done.
-	s.journal = newJournalSink("run_id", &brokenAppender{}, nil, obs.Scope{})
+	// Swap in an appender that always fails: every record is dropped,
+	// but runs must still reach done. The swap takes the sink's lock —
+	// the telemetry sampler is already reading the sink.
+	s.journal.mu.Lock()
+	s.journal.app = &brokenAppender{}
 	s.journal.retry.Sleep = func(time.Duration) {}
+	s.journal.mu.Unlock()
 
 	info, err := s.Submit(tinySpec())
 	if err != nil {

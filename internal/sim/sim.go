@@ -1,5 +1,10 @@
 // Package sim provides a deterministic discrete-event simulation engine:
-// a virtual clock and a binary-heap event queue with stable ordering.
+// a virtual clock and a priority queue of typed event descriptors.
+//
+// Engine[E] stores each pending event as a plain value of the caller's
+// type E. It has no callbacks: the caller pops events with Next and
+// dispatches them itself, so the pending queue is always a list of
+// values that can be enumerated (PendingInOrder) and persisted.
 //
 // Events scheduled for the same instant are ordered by priority, then by
 // insertion sequence, so a simulation run is a pure function of its inputs.
@@ -8,10 +13,8 @@
 package sim
 
 import (
-	"container/heap"
-	"context"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Time is simulated time in seconds since the simulation epoch.
@@ -41,64 +44,66 @@ const (
 	PrioSchedule = 3 // scheduling pass
 )
 
-// Event is a callback scheduled at a virtual time.
-type Event struct {
-	at      Time
-	prio    int
-	seq     uint64
-	fn      func(now Time)
-	payload any
-	idx     int // heap index; -1 when popped or cancelled
+// Handle names one scheduled event so it can be cancelled. The zero
+// Handle names no event. A handle goes stale once its event fires or is
+// cancelled; cancelling a stale handle is a no-op even after the
+// engine has reused the event's storage.
+type Handle struct {
+	slot int32
+	gen  uint32
 }
 
-// At returns the scheduled time of the event.
-func (e *Event) At() Time { return e.at }
-
-// Prio returns the event's priority.
-func (e *Event) Prio() int { return e.prio }
-
-// Tag attaches a serializable descriptor to the event, enabling snapshot
-// and restore: a tagged pending queue can be enumerated, persisted, and
-// rebuilt by re-scheduling each descriptor. Returns the event for
-// chaining.
-func (e *Event) Tag(payload any) *Event {
-	e.payload = payload
-	return e
+// key is one heap entry: the dispatch order (at, prio, seq) plus the
+// slot holding the event's descriptor.
+type key struct {
+	at   Time
+	prio int
+	seq  uint64
+	slot int32
 }
 
-// Payload returns the descriptor attached with Tag, or nil.
-func (e *Event) Payload() any { return e.payload }
+func (a key) less(b key) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	if a.prio != b.prio {
+		return a.prio < b.prio
+	}
+	return a.seq < b.seq
+}
 
-// Engine is a discrete-event simulator. The zero value is invalid; use New.
-type Engine struct {
+// slot holds one pending descriptor. Slots are recycled through a free
+// list; gen increases on every reuse so stale handles can be told apart.
+type slot[E any] struct {
+	ev  E
+	idx int32 // heap index; -1 when free
+	gen uint32
+}
+
+// Engine is a discrete-event simulator over descriptors of type E. The
+// zero value is invalid; use New.
+type Engine[E any] struct {
 	now    Time
 	seq    uint64
-	queue  eventHeap
+	heap   []key
+	slots  []slot[E]
+	free   []int32
 	steps  uint64
 	maxLen int
 	err    error // first scheduling fault (event in the past); latched
 }
 
 // New returns an engine with the clock at 0.
-func New() *Engine { return &Engine{} }
+func New[E any]() *Engine[E] { return &Engine[E]{} }
 
 // Now returns the current virtual time.
-func (e *Engine) Now() Time { return e.now }
+func (e *Engine[E]) Now() Time { return e.now }
 
 // Err returns the first scheduling fault the engine latched (an event
-// scheduled before the current time), or nil. Once latched, Step and Run
-// dispatch nothing further; callers that drive the engine directly should
-// check Err when their loop ends.
-func (e *Engine) Err() error { return e.err }
-
-// Steps returns how many events have been dispatched.
-func (e *Engine) Steps() uint64 { return e.steps }
-
-// MaxQueueLen returns the observed high-water mark of the pending queue.
-func (e *Engine) MaxQueueLen() int { return e.maxLen }
-
-// Pending returns the number of events waiting to run.
-func (e *Engine) Pending() int { return len(e.queue) }
+// scheduled before the current time), or nil. Once latched, Next
+// dispatches nothing further; callers should check Err when their loop
+// ends.
+func (e *Engine[E]) Err() error { return e.err }
 
 // Stats is a point-in-time snapshot of the engine's accounting, consumed
 // by the telemetry layer.
@@ -110,130 +115,96 @@ type Stats struct {
 }
 
 // Stats snapshots the engine's counters.
-func (e *Engine) Stats() Stats {
-	return Stats{Now: e.now, Steps: e.steps, Pending: len(e.queue), MaxQueueLen: e.maxLen}
+func (e *Engine[E]) Stats() Stats {
+	return Stats{Now: e.now, Steps: e.steps, Pending: len(e.heap), MaxQueueLen: e.maxLen}
 }
 
-// Schedule queues fn to run at time at with the given priority and
-// returns a handle that can cancel the event. An event in the past is a
-// logic error in the caller: the engine refuses it, latches the fault
-// (see Err), stops dispatching, and returns an inert, already-cancelled
-// handle — it never fires.
-func (e *Engine) Schedule(at Time, prio int, fn func(now Time)) *Event {
+// Schedule queues descriptor ev at time at with the given priority and
+// returns a handle that can cancel it. An event in the past is a logic
+// error in the caller: the engine refuses it, latches the fault (see
+// Err), stops dispatching, and returns the zero Handle — it never fires.
+func (e *Engine[E]) Schedule(at Time, prio int, ev E) Handle {
 	if at < e.now {
 		if e.err == nil {
 			e.err = fmt.Errorf("sim: scheduling event at %v before now %v", at, e.now)
 		}
-		return &Event{at: at, prio: prio, idx: -1}
+		return Handle{}
 	}
-	ev := &Event{at: at, prio: prio, seq: e.seq, fn: fn}
+	var s int32
+	if n := len(e.free); n > 0 {
+		s = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		s = int32(len(e.slots))
+		e.slots = append(e.slots, slot[E]{})
+	}
+	sl := &e.slots[s]
+	sl.ev = ev
+	sl.gen++
+	sl.idx = int32(len(e.heap))
+	e.heap = append(e.heap, key{at: at, prio: prio, seq: e.seq, slot: s})
 	e.seq++
-	heap.Push(&e.queue, ev)
-	if len(e.queue) > e.maxLen {
-		e.maxLen = len(e.queue)
+	e.up(len(e.heap) - 1)
+	if len(e.heap) > e.maxLen {
+		e.maxLen = len(e.heap)
 	}
-	return ev
+	return Handle{slot: s, gen: sl.gen}
 }
 
-// After queues fn to run d seconds from now.
-func (e *Engine) After(d Duration, prio int, fn func(now Time)) *Event {
-	return e.Schedule(e.now+d, prio, fn)
-}
-
-// Cancel removes a scheduled event. Cancelling an already-run or
-// already-cancelled event is a no-op and returns false.
-func (e *Engine) Cancel(ev *Event) bool {
-	if ev == nil || ev.idx < 0 {
+// Cancel removes a scheduled event. Cancelling an event that already
+// fired or was cancelled (a stale handle), or the zero Handle, is a no-op
+// and returns false.
+func (e *Engine[E]) Cancel(h Handle) bool {
+	if int(h.slot) >= len(e.slots) {
 		return false
 	}
-	heap.Remove(&e.queue, ev.idx)
-	ev.idx = -1
-	ev.fn = nil
+	sl := &e.slots[h.slot]
+	if sl.gen != h.gen || sl.idx < 0 {
+		return false
+	}
+	e.remove(int(sl.idx))
+	e.release(h.slot)
 	return true
 }
 
 // NextTime returns the time of the next pending event.
-func (e *Engine) NextTime() (Time, bool) {
-	if len(e.queue) == 0 {
+func (e *Engine[E]) NextTime() (Time, bool) {
+	if len(e.heap) == 0 {
 		return 0, false
 	}
-	return e.queue[0].at, true
+	return e.heap[0].at, true
 }
 
-// Step dispatches the next event. It returns false when the queue is
-// empty or a scheduling fault has been latched (see Err).
-func (e *Engine) Step() bool {
-	if len(e.queue) == 0 || e.err != nil {
-		return false
+// Next pops the next event in dispatch order, advances the clock to its
+// time and counts the step. It returns false when the queue is empty or
+// a scheduling fault has been latched (see Err).
+func (e *Engine[E]) Next() (Time, E, bool) {
+	if len(e.heap) == 0 || e.err != nil {
+		var zero E
+		return 0, zero, false
 	}
-	ev := heap.Pop(&e.queue).(*Event)
-	e.now = ev.at
+	k := e.remove(0)
+	ev := e.slots[k.slot].ev
+	e.release(k.slot)
+	e.now = k.at
 	e.steps++
-	fn := ev.fn
-	ev.fn = nil
-	fn(e.now)
-	return true
+	return k.at, ev, true
 }
 
-// Run dispatches events until the queue empties.
-func (e *Engine) Run() {
-	for e.Step() {
-	}
-}
-
-// DefaultCancelStride is how many events RunContext dispatches between
-// context polls when the caller passes stride <= 0. Polling a context is
-// a channel select; doing it every event would dominate the hot loop, so
-// cancellation is checked at a coarse stride instead. Cancellation
-// latency is therefore bounded by one stride of events (microseconds at
-// the engine's throughput), never by simulated time.
-const DefaultCancelStride = 64
-
-// RunContext dispatches events until the queue empties, the engine
-// latches a fault, or ctx is cancelled. The context is polled every
-// stride events (DefaultCancelStride when stride <= 0); a context that
-// can never be cancelled (ctx.Done() == nil, e.g. context.Background())
-// is never polled, so the uncancellable path costs exactly what Run
-// does. On cancellation the engine stops at an event boundary — the
-// clock and queue stay consistent — and ctx.Err() is returned.
-func (e *Engine) RunContext(ctx context.Context, stride int) error {
-	done := ctx.Done()
-	if done == nil {
-		e.Run()
-		return nil
-	}
-	if stride <= 0 {
-		stride = DefaultCancelStride
-	}
-	for {
-		select {
-		case <-done:
-			return ctx.Err()
-		default:
-		}
-		for i := 0; i < stride; i++ {
-			if !e.Step() {
-				return nil
-			}
-		}
-	}
-}
-
-// RunUntil dispatches events with time <= deadline, then advances the clock
-// to the deadline (if the deadline is later than the last event time).
-func (e *Engine) RunUntil(deadline Time) {
-	for len(e.queue) > 0 && e.queue[0].at <= deadline {
-		e.Step()
-	}
-	if e.now < deadline {
-		e.now = deadline
-	}
+// release returns a slot to the free list, dropping its descriptor so
+// anything it references can be collected.
+func (e *Engine[E]) release(s int32) {
+	sl := &e.slots[s]
+	var zero E
+	sl.ev = zero
+	sl.idx = -1
+	e.free = append(e.free, s)
 }
 
 // State is the engine's serializable accounting, captured by snapshots
-// and re-applied by RestoreState. Pending events are not part of it —
-// they carry callbacks and must be re-scheduled from their Tag payloads
-// by the layer that owns them.
+// and re-applied by RestoreState. Pending events are not part of it: the
+// layer that owns the descriptors persists them (see PendingInOrder)
+// and re-schedules them on restore.
 type State struct {
 	Now         Time   `json:"now"`
 	Steps       uint64 `json:"steps"`
@@ -241,16 +212,16 @@ type State struct {
 }
 
 // CaptureState snapshots the clock and counters.
-func (e *Engine) CaptureState() State {
+func (e *Engine[E]) CaptureState() State {
 	return State{Now: e.now, Steps: e.steps, MaxQueueLen: e.maxLen}
 }
 
 // RestoreState re-applies a captured clock and counters to a fresh
 // engine. It refuses to overwrite an engine that has already dispatched
 // or queued events: restore must rebuild the world from empty.
-func (e *Engine) RestoreState(st State) error {
-	if e.steps != 0 || len(e.queue) != 0 || e.seq != 0 {
-		return fmt.Errorf("sim: restore into a non-fresh engine (%d steps, %d pending)", e.steps, len(e.queue))
+func (e *Engine[E]) RestoreState(st State) error {
+	if e.steps != 0 || len(e.heap) != 0 || e.seq != 0 {
+		return fmt.Errorf("sim: restore into a non-fresh engine (%d steps, %d pending)", e.steps, len(e.heap))
 	}
 	e.now = st.Now
 	e.steps = st.Steps
@@ -258,61 +229,76 @@ func (e *Engine) RestoreState(st State) error {
 	return nil
 }
 
-// PendingInOrder returns the pending events in dispatch order — (time,
-// priority, insertion sequence) — without disturbing the queue. Layers
-// that tagged their events with serializable descriptors use this to
-// persist the queue; re-scheduling the descriptors in this exact order
-// on a fresh engine reproduces the same tie-breaking forever after.
-func (e *Engine) PendingInOrder() []*Event {
-	out := make([]*Event, len(e.queue))
-	copy(out, e.queue)
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.at != b.at {
-			return a.at < b.at
+// PendingInOrder returns the pending descriptors in dispatch order —
+// (time, priority, insertion sequence) — without disturbing the queue.
+// Re-scheduling them in this exact order on a fresh engine reproduces
+// the same tie-breaking forever after.
+func (e *Engine[E]) PendingInOrder() []E {
+	if len(e.heap) == 0 {
+		return nil
+	}
+	keys := slices.Clone(e.heap)
+	slices.SortFunc(keys, func(a, b key) int {
+		if a.less(b) {
+			return -1
 		}
-		if a.prio != b.prio {
-			return a.prio < b.prio
-		}
-		return a.seq < b.seq
+		return 1
 	})
+	out := make([]E, len(keys))
+	for i, k := range keys {
+		out[i] = e.slots[k.slot].ev
+	}
 	return out
 }
 
-// eventHeap orders by (time, priority, sequence).
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	a, b := h[i], h[j]
-	if a.at != b.at {
-		return a.at < b.at
+// remove deletes heap entry i and returns it.
+func (e *Engine[E]) remove(i int) key {
+	k := e.heap[i]
+	last := len(e.heap) - 1
+	if i != last {
+		e.swap(i, last)
 	}
-	if a.prio != b.prio {
-		return a.prio < b.prio
+	e.heap = e.heap[:last]
+	if i != last {
+		e.down(i)
+		e.up(i)
 	}
-	return a.seq < b.seq
+	return k
 }
 
-func (h eventHeap) Swap(i, j int) {
+// swap exchanges two heap entries and keeps their slots' indexes current.
+func (e *Engine[E]) swap(i, j int) {
+	h := e.heap
 	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
+	e.slots[h[i].slot].idx = int32(i)
+	e.slots[h[j].slot].idx = int32(j)
 }
 
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
-	ev.idx = len(*h)
-	*h = append(*h, ev)
+func (e *Engine[E]) up(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.heap[i].less(e.heap[p]) {
+			return
+		}
+		e.swap(i, p)
+		i = p
+	}
 }
 
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.idx = -1
-	*h = old[:n-1]
-	return ev
+func (e *Engine[E]) down(i int) {
+	n := len(e.heap)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			return
+		}
+		if r := c + 1; r < n && e.heap[r].less(e.heap[c]) {
+			c = r
+		}
+		if !e.heap[c].less(e.heap[i]) {
+			return
+		}
+		e.swap(i, c)
+		i = c
+	}
 }

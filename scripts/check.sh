@@ -36,6 +36,11 @@ go build ./...
 echo "== go test -race"
 go test -race ./...
 
+# One green run proves little for an ordering race: repeat the in-process
+# chaos soak so a journal/state interleaving bug fails loudly here.
+echo "== zccd chaos soak, -race x10"
+go test -race -count 10 -run TestChaosSoak ./internal/serve
+
 echo "== fuzz seed corpora"
 go test ./internal/swf ./internal/miso ./internal/tracebin -run '^Fuzz' -count=1
 
