@@ -14,11 +14,12 @@ race:
 check:
 	sh scripts/check.sh
 
-# bench records the perf baseline (BENCH_PR4.json): the end-to-end
-# events/sec anchor plus the hot-path micro-benches. bench-all runs the
-# complete per-experiment suite without recording anything.
+# bench records the perf baseline (BENCH_PR15.json; BENCH_PR4.json is
+# kept as history): the end-to-end events/sec anchor plus the hot-path
+# micro-benches. bench-all runs the complete per-experiment suite without
+# recording anything.
 bench:
-	$(GO) run ./cmd/zccbench -o BENCH_PR4.json
+	$(GO) run ./cmd/zccbench -o BENCH_PR15.json
 
 bench-all:
 	$(GO) test -bench=. -benchmem
@@ -27,7 +28,7 @@ bench-all:
 # events/sec may not drop more than 15%, allocs/op may not grow more
 # than 10% (zero-alloc baselines tolerate no allocation at all).
 bench-check:
-	$(GO) run ./cmd/zccbench -compare BENCH_PR4.json
+	$(GO) run ./cmd/zccbench -compare BENCH_PR15.json
 
 fmt:
 	gofmt -w .

@@ -101,6 +101,31 @@ func BenchmarkSchedulerMonth(b *testing.B) {
 	}
 }
 
+// BenchmarkSchedulerDeepQueue times a 7-day simulation at fig8's heaviest
+// cell: the workload scaled 5x on Mira + 4xMira ZCCloud at 100% duty.
+// Five times the machine runs five times the jobs at once, so every EASY
+// reservation search replays a long release list (about 33 releases per
+// earliestStart call here, against about 10 in BenchmarkSchedulerMonth).
+func BenchmarkSchedulerDeepQueue(b *testing.B) {
+	base, err := GenerateWorkload(WorkloadConfig{Seed: 1, Days: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr, err := ScaleWorkload(base, 5, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Simulate(RunConfig{
+			Trace:  tr.Clone(),
+			System: SystemConfig{ZCFactor: 4, ZCAvail: AlwaysOn{}},
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkMarketDay times one day of 5-minute market clearing with 200
 // wind sites (288 dispatches).
 func BenchmarkMarketDay(b *testing.B) {
@@ -172,7 +197,7 @@ func BenchmarkScaleWorkload(b *testing.B) {
 // BenchmarkEndToEndEventsPerSec is the perf-baseline anchor: a complete
 // month-long Mira + 1xZCCloud simulation, reported as dispatched engine
 // events per wall-clock second (the simulator's natural throughput
-// unit). cmd/zccbench records it in BENCH_PR4.json so regressions show
+// unit). cmd/zccbench records it in BENCH_PR15.json so regressions show
 // up as a ratio against a committed baseline.
 func BenchmarkEndToEndEventsPerSec(b *testing.B) {
 	tr, err := GenerateWorkload(WorkloadConfig{Seed: 1, Days: 28})

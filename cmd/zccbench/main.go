@@ -1,17 +1,17 @@
 // Command zccbench runs the repository's benchmark suite and records a
 // machine-readable performance baseline. It shells out to `go test
 // -bench`, parses the standard benchmark output, and atomically writes a
-// JSON file (default BENCH_PR4.json) with ns/op, allocations, and custom
+// JSON file (default BENCH_PR15.json) with ns/op, allocations, and custom
 // metrics such as the end-to-end events/sec throughput anchor — so a
 // later run on the same machine can be diffed against the committed
 // baseline.
 //
 // Examples:
 //
-//	zccbench                                  # default subset -> BENCH_PR4.json
+//	zccbench                                  # default subset -> BENCH_PR15.json
 //	zccbench -bench . -pkg ./...              # everything (slow)
 //	zccbench -o /tmp/b.json -count 3
-//	zccbench -compare BENCH_PR4.json          # rerun and gate on regression
+//	zccbench -compare BENCH_PR15.json         # rerun and gate on regression
 //
 // With -compare FILE the fresh results are diffed against the committed
 // baseline instead of written out: an events/sec drop beyond -tolerance
@@ -46,12 +46,12 @@ func main() {
 }
 
 // defaultBench is the baseline subset: the end-to-end throughput anchor,
-// the full-month scheduler run, the workload generator, the tracer
+// the full-month and deep-queue scheduler runs, the workload generator, the tracer
 // micro-benches (including the zero-alloc Nop check), the trace
 // encoders (JSONL vs binary columnar), and the power-admission decision
 // (zero-alloc, sits on every submission's hot path). Fast enough for CI
 // while still covering every layer a perf regression could hide in.
-const defaultBench = "EndToEndEventsPerSec|SchedulerMonth|WorkloadGeneration|NopTracer|JSONLTracer|NopLogger|LogfmtLogger|TraceEncode|AdmitDecision"
+const defaultBench = "EndToEndEventsPerSec|SchedulerMonth|SchedulerDeepQueue|WorkloadGeneration|NopTracer|JSONLTracer|NopLogger|LogfmtLogger|TraceEncode|AdmitDecision"
 
 // BenchResult is one parsed benchmark line.
 type BenchResult struct {
@@ -61,7 +61,7 @@ type BenchResult struct {
 	Metrics    map[string]float64 `json:"metrics,omitempty"`
 }
 
-// Baseline is the file layout of BENCH_PR4.json.
+// Baseline is the file layout of BENCH_*.json.
 type Baseline struct {
 	Generated string        `json:"generated"`
 	GoVersion string        `json:"go_version"`
@@ -78,7 +78,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("zccbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		out      = fs.String("o", "BENCH_PR4.json", "baseline output file")
+		out      = fs.String("o", "BENCH_PR15.json", "baseline output file")
 		pattern  = fs.String("bench", defaultBench, "benchmark regex passed to go test -bench")
 		pkgs     = fs.String("pkg", "zccloud,zccloud/internal/obs,zccloud/internal/tracebin,zccloud/internal/admit", "comma-separated packages to benchmark")
 		count    = fs.Int("count", 1, "benchmark repetitions (go test -count)")

@@ -42,6 +42,10 @@ func (s *Scheduler) violation(name, format string, args ...any) error {
 //     (WFP re-sorts per pass, so order between passes is unspecified);
 //   - running-set consistency: every running job is marked started on
 //     the partition that holds its allocation;
+//   - release index: each partition's index holds exactly the running
+//     jobs placed there, in strict (release, nodes, ID) order, and every
+//     cached release time and start-window end equals a fresh
+//     recomputation;
 //   - job-state conservation: every arrived job is in exactly one of
 //     queued / running / backoff / completed / unrunnable / abandoned.
 //
@@ -101,6 +105,28 @@ func (s *Scheduler) CheckInvariants() error {
 			if off > want {
 				return s.violation("capacity", "partition %q has %d nodes offline, fault layer asked for %d",
 					p.Name, off, want)
+			}
+		}
+	}
+
+	// Release index: exactly the running jobs, strictly ordered, fresh.
+	for _, p := range s.cfg.Machine.Partitions {
+		rels := s.releases[p]
+		if len(rels) != jobsOn[p.Name] {
+			return s.violation("release-index", "partition %q indexes %d releases but %d jobs run there",
+				p.Name, len(rels), jobsOn[p.Name])
+		}
+		for i, r := range rels {
+			rj := s.running[r.job]
+			if rj == nil || rj.p != p {
+				return s.violation("release-index", "partition %q indexes job %d, which does not run there", p.Name, r.job)
+			}
+			if want := s.releaseOf(rj.j, p); r != want || rj.rel != want {
+				return s.violation("release-index", "job %d indexed as %+v, cached %+v, recomputed %+v", r.job, r, rj.rel, want)
+			}
+			if i > 0 && cmpRelease(rels[i-1], r) >= 0 {
+				return s.violation("release-index", "partition %q releases of jobs %d and %d out of order at positions %d,%d",
+					p.Name, rels[i-1].job, r.job, i-1, i)
 			}
 		}
 	}

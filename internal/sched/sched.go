@@ -21,13 +21,24 @@
 //     so downtime never kills work;
 //   - in non-Oracle (kill/requeue) mode the window end is unknown: jobs
 //     running at a downtime transition are killed and resubmitted.
+//
+// Each partition keeps a release index: its running jobs ordered by
+// (requested end, nodes, job ID). A job's requested end (start plus the
+// attempt's budgeted walltime) and the end of the window it started in
+// are fixed while it runs, so both are computed once at start. The EASY
+// reservation (earliestStart) and its spare-node guard (extraNodesAt)
+// walk that slice instead of gathering and sorting the running set on
+// every pass; start, finish, kill and Restore keep it current with a
+// binary-search insert or remove. The running map is only a lookup by ID.
 package sched
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"zccloud/internal/availability"
@@ -205,6 +216,26 @@ type runningJob struct {
 	j   *job.Job
 	p   *cluster.Partition
 	end sim.Handle
+	rel release // the job's entry in p's release index
+}
+
+// release is one running job's entry in its partition's release index.
+type release struct {
+	at     sim.Time // requested end: start + attemptRequest, fixed while the job runs
+	winEnd sim.Time // end of the availability window the job started in; infTime if none
+	nodes  int
+	job    int
+}
+
+// cmpRelease is the release index order: (at, nodes, job).
+func cmpRelease(a, b release) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.nodes, b.nodes); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.job, b.job)
 }
 
 // Scheduler is the event-driven batch scheduler.
@@ -215,7 +246,8 @@ type Scheduler struct {
 	tracing        bool       // tracer is live (non-Nop); guards trace-only work
 	queue          []*job.Job // FCFS order: (Submit, ID)
 	running        map[int]*runningJob
-	jobs           map[int]*job.Job // every submitted job by ID
+	releases       map[*cluster.Partition][]release // per-partition release index
+	jobs           map[int]*job.Job                 // every submitted job by ID
 	total          int
 	arrived        int // jobs whose arrival event has fired
 	backoff        int // killed jobs waiting out a retry delay (neither queued nor running)
@@ -250,6 +282,11 @@ type Scheduler struct {
 	peakQueue  int
 	resJob     int      // job holding the EASY reservation; -1 when none
 	resTime    sim.Time // its reserved start time
+
+	// Reservation-search counters, published under "sched" but not
+	// snapshotted: a restored run counts only its continuation.
+	earliestCalls   int // earliestStart calls
+	releasesScanned int // release-index entries walked by earliestStart and extraNodesAt
 }
 
 // New creates a Scheduler on a fresh event engine. Machine is required;
@@ -265,14 +302,15 @@ func New(cfg Config) (*Scheduler, error) {
 		cfg.Tracer = obs.Nop{}
 	}
 	s := &Scheduler{
-		cfg:     cfg,
-		eng:     sim.New[pendingEvent](),
-		tracer:  cfg.Tracer,
-		tracing: obs.Enabled(cfg.Tracer),
-		running: make(map[int]*runningJob),
-		jobs:    make(map[int]*job.Job),
-		nodeHrs: make(map[string]float64),
-		resJob:  -1,
+		cfg:      cfg,
+		eng:      sim.New[pendingEvent](),
+		tracer:   cfg.Tracer,
+		tracing:  obs.Enabled(cfg.Tracer),
+		running:  make(map[int]*runningJob),
+		releases: make(map[*cluster.Partition][]release),
+		jobs:     make(map[int]*job.Job),
+		nodeHrs:  make(map[string]float64),
+		resJob:   -1,
 	}
 	if cfg.Faults != nil {
 		s.failOffline = make(map[string]int)
@@ -486,6 +524,8 @@ func (s *Scheduler) publishMetrics() {
 	sc.Counter("jobs_unrunnable").Add(int64(s.unrun))
 	sc.Counter("jobs_completed").Add(int64(s.done))
 	sc.Counter("passes").Add(int64(s.passes))
+	sc.Counter("earliest_start_calls").Add(int64(s.earliestCalls))
+	sc.Counter("releases_scanned").Add(int64(s.releasesScanned))
 	sc.Gauge("queue_peak").SetMax(float64(s.peakQueue))
 	if s.cfg.Faults != nil {
 		// Registered only on faulted runs so fault-free snapshots stay
@@ -924,10 +964,42 @@ func (s *Scheduler) start(j *job.Job, p *cluster.Partition, now sim.Time, backfi
 		s.tracer.Trace(obs.Event{Time: now, Kind: obs.EvReserveClear, Job: j.ID, Partition: p.Name})
 	}
 	end := now + s.attemptRuntime(j)
-	rj := &runningJob{j: j, p: p}
+	rj := &runningJob{j: j, p: p, rel: s.releaseOf(j, p)}
 	rj.end = s.schedule(pendingEvent{Kind: evFinish, At: end, Prio: sim.PrioRelease, Job: j.ID})
 	s.running[j.ID] = rj
+	s.addRelease(rj)
 	return true
+}
+
+// releaseOf computes a started job's release-index entry on p. Both
+// times depend only on the job's start, its checkpointed progress and
+// p's availability model, none of which change while the job runs.
+func (s *Scheduler) releaseOf(j *job.Job, p *cluster.Partition) release {
+	r := release{at: j.Start + s.attemptRequest(j), winEnd: infTime, nodes: j.Nodes, job: j.ID}
+	if w, ok := p.Avail.WindowAt(j.Start); ok {
+		r.winEnd = w.End
+	}
+	return r
+}
+
+// addRelease inserts rj into its partition's release index.
+func (s *Scheduler) addRelease(rj *runningJob) {
+	rels := s.releases[rj.p]
+	i, _ := slices.BinarySearchFunc(rels, rj.rel, cmpRelease)
+	s.releases[rj.p] = slices.Insert(rels, i, rj.rel)
+}
+
+// dropRelease removes rj from its partition's release index. A missing
+// entry means the index diverged from the running set; the error is
+// latched for Run to surface.
+func (s *Scheduler) dropRelease(rj *runningJob) {
+	rels := s.releases[rj.p]
+	i, ok := slices.BinarySearchFunc(rels, rj.rel, cmpRelease)
+	if !ok {
+		s.fail(fmt.Errorf("sched: job %d missing from the release index of %q", rj.j.ID, rj.p.Name))
+		return
+	}
+	s.releases[rj.p] = slices.Delete(rels, i, i+1)
 }
 
 // finish completes a running job, releasing its nodes.
@@ -935,6 +1007,7 @@ func (s *Scheduler) finish(rj *runningJob, now sim.Time) {
 	j := rj.j
 	rj.p.Release(j.Nodes)
 	delete(s.running, j.ID)
+	s.dropRelease(rj)
 	j.Completed = true
 	j.End = now
 	s.done++
@@ -951,17 +1024,12 @@ func (s *Scheduler) finish(rj *runningJob, now sim.Time) {
 // whose power just went away and resubmits them.
 func (s *Scheduler) windowEnd(p *cluster.Partition, now sim.Time) {
 	s.tracer.Trace(obs.Event{Time: now, Kind: obs.EvWindowDown, Job: -1, Partition: p.Name, Nodes: p.Nodes})
-	var killed []*runningJob
-	for _, rj := range s.running {
-		if rj.p == p {
-			killed = append(killed, rj)
-		}
-	}
+	killed := slices.Clone(s.releases[p]) // kill edits the index
 	s.cfg.Log.Debug("window down", "sim_hours", now.Hours(), "partition", p.Name, "killed", len(killed))
 	// Deterministic order: by job ID.
-	sort.Slice(killed, func(i, k int) bool { return killed[i].j.ID < killed[k].j.ID })
-	for _, rj := range killed {
-		s.kill(rj, now)
+	slices.SortFunc(killed, func(a, b release) int { return cmp.Compare(a.job, b.job) })
+	for _, r := range killed {
+		s.kill(s.running[r.job], now)
 	}
 	if len(killed) > 0 {
 		s.requestPass(now)
@@ -976,6 +1044,7 @@ func (s *Scheduler) kill(rj *runningJob, now sim.Time) {
 	s.eng.Cancel(rj.end)
 	rj.p.Release(j.Nodes)
 	delete(s.running, j.ID)
+	s.dropRelease(rj)
 	// Account the attempt's node-hours to the partition (it did consume
 	// power) whether or not the work survives.
 	s.nodeHrs[rj.p.Name] += float64(j.Nodes) * (now - j.Start).Hours()
@@ -1128,26 +1197,20 @@ func (s *Scheduler) applyCapacity(p *cluster.Partition, now sim.Time) {
 // preferring the largest jobs (fewest victims); ties break by job ID for
 // determinism.
 func (s *Scheduler) killFewest(p *cluster.Partition, deficit int, now sim.Time) {
-	var victims []*runningJob
-	for _, rj := range s.running {
-		if rj.p == p {
-			victims = append(victims, rj)
+	victims := slices.Clone(s.releases[p]) // kill edits the index
+	slices.SortFunc(victims, func(a, b release) int {
+		if a.nodes != b.nodes {
+			return cmp.Compare(b.nodes, a.nodes)
 		}
-	}
-	sort.Slice(victims, func(i, k int) bool {
-		a, b := victims[i].j, victims[k].j
-		if a.Nodes != b.Nodes {
-			return a.Nodes > b.Nodes
-		}
-		return a.ID < b.ID
+		return cmp.Compare(a.job, b.job)
 	})
 	freed := 0
-	for _, rj := range victims {
+	for _, r := range victims {
 		if freed >= deficit {
 			break
 		}
-		freed += rj.j.Nodes
-		s.kill(rj, now)
+		freed += r.nodes
+		s.kill(s.running[r.job], now)
 	}
 }
 
@@ -1170,6 +1233,7 @@ func (s *Scheduler) earliestStartAnywhere(j *job.Job, now sim.Time) (*cluster.Pa
 // start on partition p, assuming running jobs hold their nodes until their
 // requested end and no further arrivals. Returns infTime if never.
 func (s *Scheduler) earliestStart(j *job.Job, p *cluster.Partition, now sim.Time) sim.Time {
+	s.earliestCalls++
 	if !s.eligible(j, p) {
 		return infTime
 	}
@@ -1204,44 +1268,32 @@ func (s *Scheduler) earliestStart(j *job.Job, p *cluster.Partition, now sim.Time
 			t = w.End
 			continue
 		}
-		// Current window: replay node releases of running jobs.
+		// Current window: replay node releases of running jobs in
+		// release-index order. A release at or after w.End lifts lb to
+		// w.End, where no start is possible, so the walk stops there; jobs
+		// that would be killed at w.End in non-oracle mode lie past it too.
+		// Same-instant releases may come in any order without changing the
+		// start found.
 		free := p.Free()
 		if free >= j.Nodes && fits(lb) {
 			return lb
 		}
-		type rel struct {
-			at    sim.Time
-			nodes int
-		}
-		var rels []rel
-		for _, rj := range s.running {
-			if rj.p != p {
-				continue
-			}
-			at := rj.j.Start + s.attemptRequest(rj.j)
-			if !s.cfg.Oracle && at > w.End {
-				at = w.End // job will be killed at window end
-			}
-			rels = append(rels, rel{at, rj.j.Nodes})
-		}
-		sort.Slice(rels, func(a, b int) bool {
-			if rels[a].at != rels[b].at {
-				return rels[a].at < rels[b].at
-			}
-			return rels[a].nodes < rels[b].nodes
-		})
-		for _, r := range rels {
-			if r.at > w.End {
+		n := 0 // releases replayed
+		for _, r := range s.releases[p] {
+			if r.at >= w.End {
 				break
 			}
+			n++
 			free += r.nodes
 			if r.at > lb {
 				lb = r.at
 			}
 			if free >= j.Nodes && fits(lb) && lb < w.End {
+				s.releasesScanned += n
 				return lb
 			}
 		}
+		s.releasesScanned += n
 		t = w.End
 	}
 	return infTime
@@ -1249,21 +1301,19 @@ func (s *Scheduler) earliestStart(j *job.Job, p *cluster.Partition, now sim.Time
 
 // extraNodesAt returns the nodes that remain free on p at time resTime
 // after placing the reserved job there — the spare capacity backfill may
-// consume without delaying the reservation.
+// consume without delaying the reservation. In non-oracle mode a job
+// releases its nodes no later than the end of the window it started in.
 func (s *Scheduler) extraNodesAt(p *cluster.Partition, resTime sim.Time, reserved *job.Job) int {
 	free := p.Free()
-	for _, rj := range s.running {
-		if rj.p != p {
-			continue
-		}
-		end := rj.j.Start + s.attemptRequest(rj.j)
-		if !s.cfg.Oracle {
-			if w, ok := p.Avail.WindowAt(rj.j.Start); ok && end > w.End {
-				end = w.End
-			}
+	rels := s.releases[p]
+	s.releasesScanned += len(rels)
+	for _, r := range rels {
+		end := r.at
+		if !s.cfg.Oracle && end > r.winEnd {
+			end = r.winEnd
 		}
 		if end <= resTime {
-			free += rj.j.Nodes
+			free += r.nodes
 		}
 	}
 	extra := free - reserved.Nodes

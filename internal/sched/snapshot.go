@@ -383,7 +383,9 @@ func Restore(cfg Config, snap *Snapshot) (*Scheduler, error) {
 		if j == nil || p == nil {
 			return nil, fmt.Errorf("sched: snapshot runs job %d on %q; one is unknown", rr.Job, rr.Part)
 		}
-		s.running[rr.Job] = &runningJob{j: j, p: p}
+		rj := &runningJob{j: j, p: p, rel: s.releaseOf(j, p)}
+		s.running[rr.Job] = rj
+		s.addRelease(rj)
 	}
 	if len(snap.QueueAt) > 0 {
 		s.queueAt = snap.QueueAt

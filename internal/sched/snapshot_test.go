@@ -300,6 +300,19 @@ func TestInvariantCatchesCorruption(t *testing.T) {
 			}
 		}, "capacity"},
 		{"clock-rewind", func(s *Scheduler) { s.checked = s.eng.Now() + 1000 }, "monotone-time"},
+		{"release-disorder", func(s *Scheduler) {
+			rels := busiestIndex(s)
+			rels[0], rels[1] = rels[1], rels[0]
+		}, "release-index"},
+		{"release-stale", func(s *Scheduler) { busiestIndex(s)[1].at += 1 }, "release-index"},
+		{"release-missing", func(s *Scheduler) {
+			for p, rels := range s.releases {
+				if len(rels) > 0 {
+					s.releases[p] = rels[1:]
+					return
+				}
+			}
+		}, "release-index"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -326,6 +339,21 @@ func TestInvariantCatchesCorruption(t *testing.T) {
 			}
 		})
 	}
+}
+
+// busiestIndex returns the longest partition release index of s, which
+// must hold at least two entries for the index corruption cases to bite.
+func busiestIndex(s *Scheduler) []release {
+	var best []release
+	for _, rels := range s.releases {
+		if len(rels) > len(best) {
+			best = rels
+		}
+	}
+	if len(best) < 2 {
+		panic("paused scheduler has no partition running two jobs")
+	}
+	return best
 }
 
 // TestCheckStopsRunOnCorruption: under Config.Check a mid-run corruption
