@@ -197,7 +197,7 @@ func BenchmarkScaleWorkload(b *testing.B) {
 // BenchmarkEndToEndEventsPerSec is the perf-baseline anchor: a complete
 // month-long Mira + 1xZCCloud simulation, reported as dispatched engine
 // events per wall-clock second (the simulator's natural throughput
-// unit). cmd/zccbench records it in BENCH_PR15.json so regressions show
+// unit). cmd/zccbench records it in BENCH_PR17.json so regressions show
 // up as a ratio against a committed baseline.
 func BenchmarkEndToEndEventsPerSec(b *testing.B) {
 	tr, err := GenerateWorkload(WorkloadConfig{Seed: 1, Days: 28})

@@ -11,6 +11,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 
@@ -264,6 +265,9 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 // Validate checks the static fields of a job.
 func Validate(j *Job) error {
 	switch {
+	case !finite(j.Submit) || !finite(j.Runtime) || !finite(j.Request):
+		return fmt.Errorf("job %d: non-finite time (submit %v, runtime %v, request %v)",
+			j.ID, j.Submit, j.Runtime, j.Request)
 	case j.Nodes <= 0:
 		return fmt.Errorf("job %d: nodes %d <= 0", j.ID, j.Nodes)
 	case j.Runtime <= 0:
@@ -275,3 +279,5 @@ func Validate(j *Job) error {
 	}
 	return nil
 }
+
+func finite(t sim.Time) bool { return !math.IsNaN(float64(t)) && !math.IsInf(float64(t), 0) }

@@ -2,6 +2,7 @@ package job
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -168,6 +169,11 @@ func TestValidate(t *testing.T) {
 		{ID: 1, Nodes: 1, Runtime: 0, Request: 1},
 		{ID: 1, Nodes: 1, Runtime: 2, Request: 1},
 		{ID: 1, Nodes: 1, Runtime: 1, Request: 1, Submit: -1},
+		{ID: 1, Nodes: 1, Runtime: sim.Time(math.NaN()), Request: 1},
+		{ID: 1, Nodes: 1, Runtime: 1, Request: sim.Time(math.NaN())},
+		{ID: 1, Nodes: 1, Runtime: 1, Request: sim.Time(math.Inf(1))},
+		{ID: 1, Nodes: 1, Runtime: 1, Request: 1, Submit: sim.Time(math.NaN())},
+		{ID: 1, Nodes: 1, Runtime: 1, Request: 1, Submit: sim.Time(math.Inf(1))},
 	}
 	for i, j := range bad {
 		if err := Validate(j); err == nil {

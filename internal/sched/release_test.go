@@ -149,22 +149,17 @@ func diffJobs(seed int64) []*job.Job {
 	return jobs
 }
 
-// TestReleaseIndexMatchesReference pauses seeded runs at 60 instants and
-// checks, at each, that the indexed earliestStart and extraNodesAt agree
-// with the map-and-sort reference for every queued job on every
-// partition. Every tenth pause also snapshots and restores, so the index
-// Restore rebuilds is compared too. Config.Check verifies the index's
-// own invariants after every event.
-func TestReleaseIndexMatchesReference(t *testing.T) {
-	const (
-		deadline = 1e6
-		pauses   = 60
-		step     = 400 // seconds between pauses
-	)
-	cases := []struct {
-		name  string
-		build func(t *testing.T) Config
-	}{
+// diffWorld is one seeded world the differential tests pause and probe.
+type diffWorld struct {
+	name  string
+	build func(t *testing.T) Config
+}
+
+// diffWorlds are the differential tests' worlds on diffMachine: oracle
+// WFP, kill-requeue with checkpoints, faults with brownouts and an
+// age-aware predictor.
+func diffWorlds() []diffWorld {
+	return []diffWorld{
 		{"oracle", func(t *testing.T) Config {
 			return Config{Machine: diffMachine(), Oracle: true, Policy: WFP}
 		}},
@@ -192,7 +187,21 @@ func TestReleaseIndexMatchesReference(t *testing.T) {
 			return Config{Machine: diffMachine(), Predictor: agePredictor{}}
 		}},
 	}
-	for _, tc := range cases {
+}
+
+// TestReleaseIndexMatchesReference pauses seeded runs at 60 instants and
+// checks, at each, that the indexed earliestStart and extraNodesAt agree
+// with the map-and-sort reference for every queued job on every
+// partition. Every tenth pause also snapshots and restores, so the index
+// Restore rebuilds is compared too. Config.Check verifies the index's
+// own invariants after every event.
+func TestReleaseIndexMatchesReference(t *testing.T) {
+	const (
+		deadline = 1e6
+		pauses   = 60
+		step     = 400 // seconds between pauses
+	)
+	for _, tc := range diffWorlds() {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.build(t)
 			cfg.Check = true

@@ -161,7 +161,9 @@ type Config struct {
 
 // WindowPredictor estimates when the availability window that began at
 // start will end, given the current time. Implementations live in
-// internal/forecast.
+// internal/forecast. PredictedEnd must depend only on its arguments: a
+// pass calls it once per open intermittent partition, whether or not a
+// job is then checked against it.
 type WindowPredictor interface {
 	PredictedEnd(start, now sim.Time) sim.Time
 }
@@ -244,7 +246,7 @@ type Scheduler struct {
 	eng            *sim.Engine[pendingEvent]
 	tracer         obs.Tracer
 	tracing        bool       // tracer is live (non-Nop); guards trace-only work
-	queue          []*job.Job // FCFS order: (Submit, ID)
+	queue          []*job.Job // FCFS: (queue time, ID); WFP: the last pass's order, arrivals inserted by (queue time, ID)
 	running        map[int]*runningJob
 	releases       map[*cluster.Partition][]release // per-partition release index
 	jobs           map[int]*job.Job                 // every submitted job by ID
@@ -259,11 +261,12 @@ type Scheduler struct {
 	passAt         sim.Time // coalesce multiple pass requests at one instant
 	passSet        bool
 	lastEnd        sim.Time
-	scores         []float64 // scratch for WFP sorting
-	err            error     // first fatal scheduling error; stops Run
-	restored       bool      // built by Restore: pending events already scheduled
-	availScheduled bool      // availability/fault events materialized (Run is re-entrant)
-	checked        sim.Time  // last event time seen by the invariant checker
+	ranked         []wfpEntry // scratch for WFP sorting
+	views          []partView // scratch: the partitions as the current pass sees them
+	err            error      // first fatal scheduling error; stops Run
+	restored       bool       // built by Restore: pending events already scheduled
+	availScheduled bool       // availability/fault events materialized (Run is re-entrant)
+	checked        sim.Time   // last event time seen by the invariant checker
 
 	// Fault-layer state (nil maps when cfg.Faults is nil).
 	failOffline   map[string]int   // nodes down from injected failures, per partition
@@ -283,10 +286,12 @@ type Scheduler struct {
 	resJob     int      // job holding the EASY reservation; -1 when none
 	resTime    sim.Time // its reserved start time
 
-	// Reservation-search counters, published under "sched" but not
-	// snapshotted: a restored run counts only its continuation.
+	// Pass-cost counters, published under "sched" but not snapshotted: a
+	// restored run counts only its continuation.
 	earliestCalls   int // earliestStart calls
 	releasesScanned int // release-index entries walked by earliestStart and extraNodesAt
+	queueScanned    int // queued jobs visited by the backfill scan
+	sortFallbacks   int // WFP passes whose insertion sort ran out of budget
 }
 
 // New creates a Scheduler on a fresh event engine. Machine is required;
@@ -526,6 +531,8 @@ func (s *Scheduler) publishMetrics() {
 	sc.Counter("passes").Add(int64(s.passes))
 	sc.Counter("earliest_start_calls").Add(int64(s.earliestCalls))
 	sc.Counter("releases_scanned").Add(int64(s.releasesScanned))
+	sc.Counter("queue_scanned").Add(int64(s.queueScanned))
+	sc.Counter("wfp_sort_fallbacks").Add(int64(s.sortFallbacks))
 	sc.Gauge("queue_peak").SetMax(float64(s.peakQueue))
 	if s.cfg.Faults != nil {
 		// Registered only on faulted runs so fault-free snapshots stay
@@ -656,23 +663,31 @@ func (s *Scheduler) fitsAnywhere(j *job.Job) bool {
 }
 
 // eligible reports whether partition p can ever run job j: enough nodes,
-// and (in oracle mode) a window long enough for the request.
+// and a request p can admit (see maxRequest).
 func (s *Scheduler) eligible(j *job.Job, p *cluster.Partition) bool {
-	if j.Nodes > p.Nodes {
-		return false
-	}
-	if s.cfg.Oracle && j.Request > p.Avail.MaxWindow() {
-		return false
-	}
-	if !s.cfg.Oracle && s.cfg.PredictedWindow > 0 && !s.alwaysOn(p) &&
-		j.Request > s.cfg.PredictedWindow {
-		return false
-	}
-	return true
+	return j.Nodes <= p.Nodes && j.Request <= s.maxRequest(p)
 }
 
-// enqueue inserts a job keeping FCFS (queue time, ID) order. Arrivals
+// maxRequest is the longest walltime request p can ever admit: its
+// longest window in oracle mode, the assumed window under
+// PredictedWindow on an intermittent partition, otherwise unbounded.
+func (s *Scheduler) maxRequest(p *cluster.Partition) sim.Duration {
+	if s.cfg.Oracle {
+		return p.Avail.MaxWindow()
+	}
+	if s.cfg.PredictedWindow > 0 && !s.alwaysOn(p) {
+		return s.cfg.PredictedWindow
+	}
+	return unbounded
+}
+
+// unbounded is an admission limit no finite time exceeds.
+var unbounded = sim.Time(math.Inf(1))
+
+// enqueue inserts a job at its FCFS (queue time, ID) position. Arrivals
 // come in time order so this is O(1) amortized; requeues binary-search.
+// Under WFP the queue is in the last pass's order, so the position only
+// seeds the next pass's sort.
 func (s *Scheduler) enqueue(j *job.Job) {
 	n := len(s.queue)
 	if n == 0 || s.queueLess(s.queue[n-1], j) {
@@ -728,6 +743,50 @@ func (s *Scheduler) requestPass(now sim.Time) {
 	s.schedule(pendingEvent{Kind: evPass, At: now, Prio: sim.PrioSchedule})
 }
 
+// partView is one partition as a scheduling pass sees it. A partition's
+// Avail is fixed at construction and now is fixed within a pass, so its
+// power state and admission limits cannot change while the pass runs;
+// only the free pool does, and that is read live.
+type partView struct {
+	p      *cluster.Partition
+	up     bool         // powered at now
+	maxReq sim.Duration // maxRequest(p)
+	limit  sim.Time     // an attempt started now must end by this; unbounded if blind
+}
+
+// viewPartitions reads every partition's availability once for a pass
+// at now into s.views.
+func (s *Scheduler) viewPartitions(now sim.Time) {
+	vs := s.views[:0]
+	for _, p := range s.cfg.Machine.Partitions {
+		v := partView{p: p, maxReq: s.maxRequest(p), limit: unbounded}
+		if w, up := p.Avail.WindowAt(now); up {
+			v.up = true
+			if s.cfg.Oracle {
+				v.limit = w.End
+			} else if s.cfg.Predictor != nil && !s.alwaysOn(p) {
+				// Predictive admission against the assumed window end.
+				v.limit = s.cfg.Predictor.PredictedEnd(w.Start, now)
+			}
+		}
+		vs = append(vs, v)
+	}
+	s.views = vs
+}
+
+// maxFree is the largest free pool among powered partitions: a job
+// needing more nodes cannot start anywhere for the rest of the pass,
+// since starts only shrink free pools.
+func (s *Scheduler) maxFree() int {
+	m := 0
+	for i := range s.views {
+		if v := &s.views[i]; v.up && v.p.Free() > m {
+			m = v.p.Free()
+		}
+	}
+	return m
+}
+
 // pass is one scheduling cycle: start jobs in queue order, reserve for
 // the first blocked job, then backfill.
 func (s *Scheduler) pass(now sim.Time) {
@@ -735,6 +794,7 @@ func (s *Scheduler) pass(now sim.Time) {
 	if s.cfg.Policy == WFP {
 		s.sortWFP(now)
 	}
+	s.viewPartitions(now)
 
 	// Phase 1: start queue-head jobs while they fit somewhere.
 	for len(s.queue) > 0 {
@@ -768,14 +828,22 @@ func (s *Scheduler) pass(now sim.Time) {
 	extra := s.extraNodesAt(resPart, resTime, head)
 
 	// Phase 3: backfill — later jobs may start now if they cannot delay
-	// the reservation.
+	// the reservation. A job larger than every free pool is skipped
+	// without a partition check, and the scan ends once no node is free;
+	// both still count against BackfillDepth.
 	depth := s.cfg.BackfillDepth
 	if depth <= 0 || depth > len(s.queue)-1 {
 		depth = len(s.queue) - 1
 	}
+	free := s.maxFree()
 	i := 1
-	for scanned := 0; scanned < depth && i < len(s.queue); scanned++ {
+	for scanned := 0; scanned < depth && i < len(s.queue) && free > 0; scanned++ {
+		s.queueScanned++
 		j := s.queue[i]
+		if j.Nodes > free {
+			i++
+			continue
+		}
 		p := s.backfillStart(j, now, resPart, resTime, extra)
 		if p == nil {
 			i++
@@ -785,6 +853,7 @@ func (s *Scheduler) pass(now sim.Time) {
 			return
 		}
 		s.queue = append(s.queue[:i], s.queue[i+1:]...)
+		free = s.maxFree()
 		if p == resPart {
 			// The backfilled job changed the reserved partition's free
 			// pool; recompute the spare capacity guard.
@@ -793,86 +862,76 @@ func (s *Scheduler) pass(now sim.Time) {
 	}
 }
 
-// sortWFP reorders the queue by descending WFP score. Scores are
-// precomputed once per pass; the order drifts slowly between passes, so
-// the adaptive sort runs near O(n) on the almost-sorted queue.
-func (s *Scheduler) sortWFP(now sim.Time) {
-	if cap(s.scores) < len(s.queue) {
-		s.scores = make([]float64, len(s.queue))
+// wfpEntry is one queued job with its WFP score for the current pass.
+type wfpEntry struct {
+	score float64
+	j     *job.Job
+}
+
+// wfpBefore is the WFP queue order: descending score, then FCFS
+// (Submit, ID). Scores are finite (job.Validate enforces finite times
+// with Request >= Runtime > 0) and IDs are unique, so it is a strict
+// total order and every correct sort yields the same permutation.
+func wfpBefore(a, b wfpEntry) bool {
+	if a.score != b.score {
+		return a.score > b.score
 	}
-	s.scores = s.scores[:len(s.queue)]
-	for i, j := range s.queue {
+	return less(a.j, b.j)
+}
+
+// cmpWFP is wfpBefore as a three-way comparison, for slices.SortFunc.
+func cmpWFP(a, b wfpEntry) int {
+	switch {
+	case wfpBefore(a, b):
+		return -1
+	case wfpBefore(b, a):
+		return 1
+	}
+	return 0
+}
+
+// sortWFP reorders the queue by descending WFP score. Scores are computed
+// once per pass. The queue holds the previous pass's order plus a few
+// arrivals, and scores drift slowly between passes, so an insertion sort
+// finishes in near O(n). Once it has moved more than 8n+64 elements
+// (after a requeue burst or a Restore, say), slices.SortFunc finishes
+// the job, so a pass never costs more than O(n log n).
+func (s *Scheduler) sortWFP(now sim.Time) {
+	es := s.ranked[:0]
+	for _, j := range s.queue {
 		wait := float64(now - j.Submit)
 		if wait < 0 {
 			wait = 0
 		}
 		r := wait / float64(j.Request)
-		s.scores[i] = r * r * r * float64(j.Nodes)
+		es = append(es, wfpEntry{r * r * r * float64(j.Nodes), j})
 	}
-	sort.Sort(&wfpSorter{s.queue, s.scores})
-}
-
-// wfpSorter sorts jobs and their scores together, descending by score
-// with FCFS tie-break (a deterministic total order, so an unstable sort
-// is fine).
-type wfpSorter struct {
-	jobs   []*job.Job
-	scores []float64
-}
-
-func (w *wfpSorter) Len() int { return len(w.jobs) }
-
-func (w *wfpSorter) Less(a, b int) bool {
-	if w.scores[a] != w.scores[b] {
-		return w.scores[a] > w.scores[b]
+	s.ranked = es
+	budget := 8*len(es) + 64
+	for i := 1; i < len(es); i++ {
+		e, k := es[i], i
+		for k > 0 && wfpBefore(e, es[k-1]) {
+			es[k] = es[k-1]
+			k--
+		}
+		es[k] = e
+		if budget -= i - k; budget < 0 {
+			s.sortFallbacks++
+			slices.SortFunc(es, cmpWFP)
+			break
+		}
 	}
-	return less(w.jobs[a], w.jobs[b])
-}
-
-func (w *wfpSorter) Swap(a, b int) {
-	w.jobs[a], w.jobs[b] = w.jobs[b], w.jobs[a]
-	w.scores[a], w.scores[b] = w.scores[b], w.scores[a]
+	for i, e := range es {
+		s.queue[i] = e.j
+	}
 }
 
 // bestStart returns the partition on which j can start right now, choosing
 // the one with the largest free fraction (this balances load across Mira
-// and ZCCloud, the paper's "distributes jobs equally"). Nil if none.
+// and ZCCloud, the paper's "distributes jobs equally"). Nil if none. It
+// reads the current pass's view (viewPartitions).
 func (s *Scheduler) bestStart(j *job.Job, now sim.Time) *cluster.Partition {
-	var best *cluster.Partition
-	bestFrac := -1.0
-	for _, p := range s.cfg.Machine.Partitions {
-		if !s.canStartNow(j, p, now) {
-			continue
-		}
-		frac := float64(p.Free()) / float64(p.Nodes)
-		if frac > bestFrac {
-			bestFrac = frac
-			best = p
-		}
-	}
-	return best
-}
-
-// canStartNow checks nodes and availability for an immediate start.
-func (s *Scheduler) canStartNow(j *job.Job, p *cluster.Partition, now sim.Time) bool {
-	if !s.eligible(j, p) || j.Nodes > p.Free() {
-		return false
-	}
-	w, up := p.Avail.WindowAt(now)
-	if !up {
-		return false
-	}
-	if s.cfg.Oracle {
-		if now+s.attemptRequest(j) > w.End {
-			return false
-		}
-	} else if s.cfg.Predictor != nil && !s.alwaysOn(p) {
-		// Predictive admission against the assumed window end.
-		if now+s.attemptRequest(j) > s.cfg.Predictor.PredictedEnd(w.Start, now) {
-			return false
-		}
-	}
-	return true
+	return s.backfillStart(j, now, nil, 0, 0)
 }
 
 func (s *Scheduler) alwaysOn(p *cluster.Partition) bool {
@@ -912,18 +971,24 @@ func (s *Scheduler) attemptRequest(j *job.Job) sim.Duration {
 }
 
 // backfillStart returns a partition where j may start now without delaying
-// the reservation (resPart, resTime) of the head job; nil if none.
+// the reservation (resPart, resTime) of the head job; nil if none. Among
+// the candidates it picks the largest free fraction, as bestStart does; a
+// nil resPart protects no reservation, which is bestStart. It reads the
+// current pass's view (viewPartitions).
 func (s *Scheduler) backfillStart(j *job.Job, now sim.Time, resPart *cluster.Partition, resTime sim.Time, extra int) *cluster.Partition {
+	end := now + s.attemptRequest(j)
 	var best *cluster.Partition
 	bestFrac := -1.0
-	for _, p := range s.cfg.Machine.Partitions {
-		if !s.canStartNow(j, p, now) {
+	for i := range s.views {
+		v := &s.views[i]
+		p := v.p
+		if !v.up || j.Nodes > p.Free() || j.Request > v.maxReq || end > v.limit {
 			continue
 		}
 		if p == resPart {
 			// EASY conditions: finish before the reservation, or use only
 			// nodes the reservation leaves spare.
-			if now+s.attemptRequest(j) > resTime && j.Nodes > extra {
+			if end > resTime && j.Nodes > extra {
 				continue
 			}
 		}
