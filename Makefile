@@ -24,11 +24,13 @@ bench:
 bench-all:
 	$(GO) test -bench=. -benchmem
 
-# bench-check reruns the baseline subset and fails on regression:
-# events/sec may not drop more than 15%, allocs/op may not grow more
-# than 10% (zero-alloc baselines tolerate no allocation at all).
+# bench-check reruns the baseline subset three times (repeats are
+# averaged, so one noisy run on a small host does not decide) and fails
+# on regression: events/sec may not drop more than 15%, allocs/op may
+# not grow more than 10% (zero-alloc baselines tolerate no allocation
+# at all).
 bench-check:
-	$(GO) run ./cmd/zccbench -compare BENCH_PR17.json
+	$(GO) run ./cmd/zccbench -compare BENCH_PR17.json -count 3
 
 fmt:
 	gofmt -w .

@@ -12,9 +12,10 @@
 // rather than buffering without limit. SIGINT/SIGTERM drains the
 // service gracefully — admission stops (503), queued runs are
 // cancelled, in-flight runs get -drain-grace to finish before being
-// parked as resumable checkpoints under -data (zccsim -restore picks
-// them up), and the HTTP server shuts down with a deadline. A clean
-// drain exits 0.
+// parked as resumable checkpoints under -data (a zccd restarted on the
+// same -data resumes them; zccsim -restore accepts the snapshot files
+// too), and the HTTP server shuts down with a deadline. A clean drain
+// exits 0.
 package main
 
 import (

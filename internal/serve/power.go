@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"zccloud/internal/admit"
-	"zccloud/internal/core"
 	"zccloud/internal/obs"
 	"zccloud/internal/persist"
 	"zccloud/internal/sched"
@@ -36,7 +35,7 @@ import (
 var ErrDeadlineRequired = errors.New("serve: power admission requires deadline_seconds")
 
 // errPowerPark is the cancellation cause of a preemptive power drain;
-// settleInterrupted maps it to the parked-for-power state.
+// settleInterrupted parks the run for the window to reopen.
 var errPowerPark = errors.New("parked for power window end")
 
 // defaultCostEstimate prices a submission with no cost hint before any
@@ -116,10 +115,10 @@ func (g *workGate) close() {
 	g.cond.Broadcast()
 }
 
-// Parked-run durability: each parked-for-power run writes
-// <data>/parked/<id>.json (and, for a mid-run park, a snapshot next to
-// it) so a crashed or restarted zccd re-adopts it and still completes
-// it when the window opens.
+// Parked-run durability: park writes every parked run's record to
+// <data>/parked/<id>.json, and a mid-run park's snapshot to
+// <data>/<id>.snapshot.json, so a crashed, drained or restarted zccd
+// re-adopts the run and still completes it when the window opens.
 const (
 	parkedFileKind    = "zccd-parked-run"
 	parkedFileVersion = 1
@@ -127,7 +126,7 @@ const (
 	powerEpochVersion = 1
 )
 
-// parkedRecord is the durable form of a parked-for-power run.
+// parkedRecord is the durable form of a parked run.
 type parkedRecord struct {
 	ID        string    `json:"id"`
 	Spec      Spec      `json:"spec"`
@@ -233,19 +232,7 @@ func (s *Server) powerTick(now time.Time) {
 	if limit > 0 {
 		s.resubmitParked()
 	}
-	s.scope.Gauge("power_parked").Set(float64(s.countParked()))
-}
-
-// snapshotRuns copies the run table (submission order) for lock-free
-// iteration.
-func (s *Server) snapshotRuns() []*run {
-	s.mu.Lock()
-	runs := make([]*run, 0, len(s.order))
-	for _, id := range s.order {
-		runs = append(runs, s.runs[id])
-	}
-	s.mu.Unlock()
-	return runs
+	s.scope.Gauge("power_parked").Set(float64(s.parked.Load()))
 }
 
 // parkRunningForPower preemptively interrupts running simulations with
@@ -274,7 +261,7 @@ func (s *Server) expireParked(now time.Time) {
 		expired := r.state == StateParkedPower && !r.deadline.IsZero() && now.After(r.deadline)
 		r.mu.Unlock()
 		if expired {
-			s.finish(r, StateFailed, "deadline: expired while parked for power", "", nil, nil)
+			s.finish(r, StateFailed, "deadline: expired while parked for power", nil, nil)
 		}
 	}
 }
@@ -297,46 +284,13 @@ func (s *Server) resubmitParked() {
 		}
 		select {
 		case s.queue <- r:
-			r.state = StateQueued
-			s.journal.append(journalRecord{Time: time.Now(), Run: r.id, Name: r.spec.Name, State: StateQueued}, r.id, string(StateQueued))
+			r.transition(s, StateQueued, time.Now())
 			r.mu.Unlock()
 			s.scope.Counter("power_resubmitted").Inc()
 			r.log.Info("parked run resubmitted", "state", string(StateQueued))
 		default:
 			r.mu.Unlock()
 			return
-		}
-	}
-}
-
-// countParked counts runs currently parked for power.
-func (s *Server) countParked() int {
-	n := 0
-	for _, r := range s.snapshotRuns() {
-		if r.currentState() == StateParkedPower {
-			n++
-		}
-	}
-	return n
-}
-
-// finalizeParked settles still-parked runs at drain: a run with a
-// durable snapshot becomes checkpointed (its parked record stays on
-// disk, so a successor server re-adopts and completes it), the rest
-// are cancelled.
-func (s *Server) finalizeParked() {
-	for _, r := range s.snapshotRuns() {
-		r.mu.Lock()
-		parked := r.state == StateParkedPower
-		snapPath := r.snapPath
-		r.mu.Unlock()
-		if !parked {
-			continue
-		}
-		if snapPath != "" {
-			s.finish(r, StateCheckpointed, "", snapPath, nil, nil)
-		} else {
-			s.finish(r, StateCancelled, "cancelled: server draining while parked for power", "", nil, nil)
 		}
 	}
 }
@@ -372,7 +326,7 @@ func (s *Server) powerAdmit(spec Spec, now time.Time) (handled bool, info RunInf
 		policy = p
 	}
 	if policy == admit.PolicyPark {
-		return true, s.parkAtAdmission(spec, now, deadline, wd), nil
+		return true, s.parkAtAdmission(spec, now, wd), nil
 	}
 	s.scope.Counter("power_admit_shed").Inc()
 	s.scope.Counter("power_shed_reason_" + metricReason(wd.Reason)).Inc()
@@ -390,23 +344,9 @@ func metricReason(reason string) string {
 // parkAtAdmission accepts a power-infeasible submission degraded: the
 // run is registered parked-for-power (durably, with a data dir) and
 // resubmitted by the power loop when the window opens.
-func (s *Server) parkAtAdmission(spec Spec, now time.Time, deadline time.Duration, wd admit.WallDecision) RunInfo {
-	r := &run{spec: spec, state: StateParkedPower, submitted: now}
-	if deadline > 0 {
-		r.deadline = now.Add(deadline)
-	}
-	// Held until the parked record is journaled, so a concurrent Cancel
-	// or resubmission journals after it.
-	r.mu.Lock()
-	s.mu.Lock()
-	s.nextID++
-	r.id = fmt.Sprintf("r-%06d", s.nextID)
-	r.log = s.log.With("run_id", r.id)
-	s.runs[r.id] = r
-	s.order = append(s.order, r.id)
-	s.mu.Unlock()
-	r.parkedPath = s.persistParked(parkedRecord{ID: r.id, Spec: spec, Submitted: now, Deadline: r.deadline}, r.log)
-	s.journal.append(journalRecord{Time: now, Run: r.id, Name: spec.Name, State: StateParkedPower}, r.id, string(StateParkedPower))
+func (s *Server) parkAtAdmission(spec Spec, now time.Time, wd admit.WallDecision) RunInfo {
+	r, _ := s.newRun(spec, now, false)
+	s.parkLocked(r)
 	info := r.infoLocked()
 	r.mu.Unlock()
 	s.scope.Counter("runs_submitted").Inc()
@@ -416,75 +356,66 @@ func (s *Server) parkAtAdmission(spec Spec, now time.Time, deadline time.Duratio
 	return info
 }
 
-// parkInterrupted settles a power-preempted run: its snapshot is saved
-// next to the parked record (kept in memory without a data dir), the
-// trace prefix commits, and the run transitions to parked-for-power to
-// resume when the window reopens.
-func (s *Server) parkInterrupted(r *run, intr *core.Interrupted, sink *tracebin.File, tracePath string) {
-	var snap *sched.Snapshot
-	if intr != nil {
-		snap = intr.Snapshot
-	}
-	var snapPath string
+// park sets an interrupted run aside until it can resume — a power-
+// guard preemption or a drain. With a data dir it saves snap to
+// <data>/<id>.snapshot.json, in the envelope `zccsim -restore` reads;
+// without one, or when the save fails, the snapshot stays in memory and
+// the park does not outlive the process. It commits the trace prefix,
+// then parkLocked records the park. The writes happen before r.mu is
+// taken: a long run's snapshot takes a good part of a second to save,
+// and /status and the power tick read every run's state. It returns
+// the run's checkpoint path.
+func (s *Server) park(r *run, snap *sched.Snapshot, sink *tracebin.File, tracePath string) string {
+	saved := ""
 	if snap != nil && s.cfg.DataDir != "" {
-		dir := filepath.Join(s.cfg.DataDir, "parked")
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			r.log.Error("power park: parked dir", "err", err.Error())
+		path := filepath.Join(s.cfg.DataDir, r.id+".snapshot.json")
+		if err := persist.SaveJSON(path, snapshotFileKind, sched.SnapshotVersion, snap); err != nil {
+			r.log.Error("park: snapshot save failed; keeping it in memory", "err", err.Error())
 		} else {
-			p := filepath.Join(dir, r.id+".snapshot.json")
-			if err := persist.SaveJSON(p, snapshotFileKind, sched.SnapshotVersion, snap); err != nil {
-				r.log.Error("power park: snapshot save failed; keeping it in memory", "err", err.Error())
-			} else {
-				snapPath = p
-			}
+			saved = path
 		}
 	}
-	if err := s.commitTrace(r, sink, tracePath); err != nil {
+	traceErr := commitTrace(sink)
+	if traceErr != nil {
 		// The park is the payload; a lost trace prefix is a log line.
-		r.log.Error("trace commit failed on power park", "err", err.Error())
+		r.log.Error("trace commit failed on park", "err", traceErr.Error())
 	}
-	now := time.Now()
 	r.mu.Lock()
-	if r.state.Terminal() {
-		r.mu.Unlock()
-		return
-	}
-	r.state = StateParkedPower
-	r.snapPath = snapPath
-	r.resumeSnap = nil
-	if snapPath == "" {
-		r.resumeSnap = snap
-	}
+	defer r.mu.Unlock()
 	r.cancel = nil
-	prec := parkedRecord{ID: r.id, Spec: r.spec, Submitted: r.submitted, Deadline: r.deadline, Snapshot: snapPath}
-	if p := s.persistParked(prec, r.log); p != "" {
-		r.parkedPath = p
+	switch {
+	case saved != "":
+		r.checkpoint = saved
+	case snap != nil:
+		r.checkpoint, r.resumeSnap = "", snap
 	}
-	s.journal.append(journalRecord{Time: now, Run: r.id, Name: r.spec.Name, State: StateParkedPower, Checkpoint: snapPath},
-		r.id, string(StateParkedPower))
-	r.mu.Unlock()
-	s.scope.Counter("power_parked_midrun").Inc()
-	r.log.Info("run parked for power", "state", string(StateParkedPower), "checkpoint", snapPath)
+	if sink != nil && traceErr == nil {
+		r.trace = tracePath
+	}
+	s.parkLocked(r)
+	return r.checkpoint
 }
 
-// persistParked writes a parked record (advisory: without a data dir,
-// or on a sick disk, the park is memory-only and a restart loses it —
-// the same durability contract as drain checkpoints).
-func (s *Server) persistParked(rec parkedRecord, rl *obs.Logger) string {
-	if s.cfg.DataDir == "" {
-		return ""
+// parkLocked records a park — the one step an admission park (no
+// snapshot, no trace) shares with park: with a data dir it writes the
+// parked record <data>/parked/<id>.json that a restarted server
+// re-adopts (a failed save only costs the restart), then journals
+// parked-for-power; r.mu held.
+func (s *Server) parkLocked(r *run) {
+	if s.cfg.DataDir != "" {
+		rec := parkedRecord{ID: r.id, Spec: r.spec, Submitted: r.submitted, Deadline: r.deadline, Snapshot: r.checkpoint}
+		path := filepath.Join(s.cfg.DataDir, "parked", r.id+".json")
+		err := os.MkdirAll(filepath.Dir(path), 0o755)
+		if err == nil {
+			err = persist.SaveJSON(path, parkedFileKind, parkedFileVersion, rec)
+		}
+		if err != nil {
+			r.log.Error("parked record save failed", "err", err.Error())
+		} else {
+			r.parkedPath = path
+		}
 	}
-	dir := filepath.Join(s.cfg.DataDir, "parked")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		rl.Error("parked record dir", "err", err.Error())
-		return ""
-	}
-	path := filepath.Join(dir, rec.ID+".json")
-	if err := persist.SaveJSON(path, parkedFileKind, parkedFileVersion, rec); err != nil {
-		rl.Error("parked record save failed", "err", err.Error())
-		return ""
-	}
-	return path
+	r.transition(s, StateParkedPower, time.Now())
 }
 
 // runSeq extracts the numeric suffix of an "r-%06d" run id.
@@ -500,10 +431,12 @@ func runSeq(id string) (int, bool) {
 	return n, true
 }
 
-// readoptParked re-adopts parked-for-power runs a previous incarnation
-// left in <data>/parked/: each becomes a parked run again (resuming
-// from its snapshot when it has one) and completes when the power
-// window opens. Runs before the worker pool starts.
+// readoptParked re-adopts the parked runs a previous incarnation left
+// in <data>/parked/ — power-parked or drained to a checkpoint alike:
+// each becomes a parked run again (resuming from its snapshot when it
+// has one) and completes when the power window opens, or as soon as a
+// queue slot frees without power admission. Runs before the worker
+// pool starts.
 func (s *Server) readoptParked() {
 	if s.cfg.DataDir == "" {
 		return
@@ -516,6 +449,8 @@ func (s *Server) readoptParked() {
 	adopted := 0
 	for _, ent := range ents {
 		name := ent.Name()
+		// Earlier versions kept power-park snapshots in parked/ too; their
+		// records name them by full path, so they still resume.
 		if !strings.HasSuffix(name, ".json") || strings.HasSuffix(name, ".snapshot.json") {
 			continue
 		}
@@ -528,9 +463,8 @@ func (s *Server) readoptParked() {
 		if rec.ID == "" {
 			continue
 		}
-		r := &run{id: rec.ID, spec: rec.Spec, state: StateParkedPower,
-			submitted: rec.Submitted, deadline: rec.Deadline,
-			snapPath: rec.Snapshot, parkedPath: path}
+		r := &run{id: rec.ID, spec: rec.Spec, submitted: rec.Submitted, deadline: rec.Deadline,
+			checkpoint: rec.Snapshot, parkedPath: path}
 		r.log = s.log.With("run_id", r.id)
 		r.mu.Lock() // until the re-adoption is journaled
 		s.mu.Lock()
@@ -545,21 +479,16 @@ func (s *Server) readoptParked() {
 			s.nextID = n
 		}
 		s.mu.Unlock()
-		s.journal.append(journalRecord{Time: time.Now(), Run: r.id, Name: r.spec.Name,
-			State: StateParkedPower, Checkpoint: rec.Snapshot}, r.id, string(StateParkedPower))
+		r.transition(s, StateParkedPower, time.Now())
 		r.mu.Unlock()
 		adopted++
 		s.scope.Counter("power_readopted").Inc()
 		r.log.Info("parked run re-adopted", "state", string(StateParkedPower), "snapshot", rec.Snapshot)
 	}
 	if adopted > 0 && !s.power.Enabled() {
-		// No power loop will ever resubmit them: queue them now. (More
-		// parked runs than queue depth leaves the overflow parked; with
-		// power admission off nothing else will move them, so say so.)
+		// No power loop will resubmit them: queue what fits now; each
+		// worker queues more as it frees a slot.
 		s.resubmitParked()
-		if n := s.countParked(); n > 0 {
-			s.log.Warn("parked runs exceed queue depth and power admission is off", "stuck", n)
-		}
 	}
 }
 
@@ -568,7 +497,7 @@ func (s *Server) readoptParked() {
 // durable one loaded lazily. nil means run from the spec.
 func (s *Server) takeResume(r *run) (*sched.Snapshot, error) {
 	r.mu.Lock()
-	snap, path := r.resumeSnap, r.snapPath
+	snap, path := r.resumeSnap, r.checkpoint
 	r.resumeSnap = nil
 	r.mu.Unlock()
 	if snap != nil {

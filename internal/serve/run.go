@@ -14,9 +14,11 @@ import (
 // State is a run's position in its lifecycle. Transitions only move
 // forward: queued → running → one of the terminal states, or queued →
 // cancelled directly (a queued run cancelled before a worker picks it
-// up never runs at all). The one loop is renewable-aware admission:
-// parked-for-power ↔ queued/running may cycle as power windows close
-// and reopen, until the run reaches a terminal state.
+// up never runs at all). The one loop is parking: running →
+// parked-for-power → queued may cycle as power windows close and
+// reopen, until the run reaches a terminal state. A drain settles a
+// parked run as checkpointed; a successor server on the same data dir
+// re-adopts it as parked-for-power.
 type State string
 
 // Run states. Every accepted run ends in exactly one terminal state —
@@ -27,14 +29,16 @@ const (
 	StateDone         State = "done"         // finished; Metrics or Table populated
 	StateFailed       State = "failed"       // error, panic, or deadline
 	StateCancelled    State = "cancelled"    // client cancel, or shed at drain
-	StateCheckpointed State = "checkpointed" // drained mid-run; snapshot on disk
-	// StateParkedPower holds a run accepted (or preempted) outside a
-	// stranded-power window: parked durably, auto-resubmitted when the
-	// forecasted window opens. Not terminal.
+	StateCheckpointed State = "checkpointed" // drained while parked; snapshot on disk
+	// StateParkedPower holds a run set aside to resume later: accepted
+	// or preempted outside a stranded-power window, or interrupted by a
+	// drain. It is parked durably and resubmitted when the forecasted
+	// window opens (at once without power admission). Not terminal.
 	StateParkedPower State = "parked-for-power"
 )
 
-// Terminal reports whether a run in this state will never change again.
+// Terminal reports whether a run in this state will never change again
+// in this server process.
 func (s State) Terminal() bool {
 	switch s {
 	case StateDone, StateFailed, StateCancelled, StateCheckpointed:
@@ -49,8 +53,10 @@ type RunInfo struct {
 	Name  string `json:"name,omitempty"`
 	State State  `json:"state"`
 	Error string `json:"error,omitempty"`
-	// Checkpoint is the snapshot file a drained run was parked in;
-	// resume it with `zccsim -restore` under the same configuration.
+	// Checkpoint is the snapshot file a parked or checkpointed run
+	// resumes from, <data>/<id>.snapshot.json. A successor server on the
+	// same data dir resumes a checkpointed run by itself; `zccsim
+	// -restore` under the same configuration accepts the file too.
 	Checkpoint string `json:"checkpoint,omitempty"`
 	// Trace is the event-trace file a Spec.Trace request landed in,
 	// under the server's data dir; analyze it with zcctrace.
@@ -76,12 +82,11 @@ type run struct {
 	// through it. Set once at admission, read-only afterwards.
 	log *obs.Logger
 
-	mu         sync.Mutex
-	state      State
-	err        string
-	checkpoint string
-	// trace is the committed event-trace path; set only when the run
-	// reached a terminal state with its trace landed on disk.
+	mu    sync.Mutex
+	state State
+	err   string
+	// trace is the committed event-trace path; set once the run's trace
+	// landed on disk, at completion or as a park's prefix.
 	trace     string
 	submitted time.Time
 	started   time.Time
@@ -92,13 +97,15 @@ type run struct {
 	// deadline is the wall instant a power-admitted run expires (zero =
 	// none); the power loop fails parked runs past it.
 	deadline time.Time
-	// snapPath / resumeSnap carry a power-parked run's mid-run
-	// checkpoint (durable path, or in memory without a data dir);
-	// execute resumes from it instead of regenerating the workload.
-	snapPath   string
+	// checkpoint / resumeSnap carry a parked run's mid-run snapshot
+	// (durable path, or in memory without a data dir or on a failed
+	// save); execute resumes from it instead of regenerating the
+	// workload.
+	checkpoint string
 	resumeSnap *sched.Snapshot
-	// parkedPath is the durable parked record; removed once terminal
-	// (except checkpointed, which a successor server re-adopts).
+	// parkedPath is the durable parked record; removed with the
+	// checkpoint once terminal (except checkpointed, which a successor
+	// server re-adopts).
 	parkedPath string
 	metrics    *core.Metrics
 	table      *experiments.Table
@@ -128,10 +135,6 @@ func (r *run) infoLocked() RunInfo {
 		Metrics:    r.metrics,
 		Table:      r.table,
 	}
-	if ri.Checkpoint == "" {
-		// A power-parked run's mid-run snapshot is its checkpoint too.
-		ri.Checkpoint = r.snapPath
-	}
 	if !r.started.IsZero() {
 		t := r.started
 		ri.Started = &t
@@ -147,18 +150,34 @@ func (r *run) infoLocked() RunInfo {
 	return ri
 }
 
+// transition moves the run to st and journals the change; r.mu held.
+// It is the one place a run's state changes, so the journal's order is
+// the order in which clients can observe the states, and s.parked
+// counts the parked runs exactly.
+func (r *run) transition(s *Server, st State, now time.Time) {
+	if r.state == StateParkedPower {
+		s.parked.Add(-1)
+	}
+	if st == StateParkedPower {
+		s.parked.Add(1)
+	}
+	r.state = st
+	s.journal.append(journalRecord{Time: now, Run: r.id, Name: r.spec.Name, State: st, Error: r.err, Checkpoint: r.checkpoint},
+		r.id, string(st))
+}
+
 // start transitions queued → running and installs the cancel hook. It
 // reports false when the run was already cancelled while queued — the
 // worker must then skip it without executing anything.
-func (r *run) start(now time.Time, cancel context.CancelCauseFunc) bool {
+func (r *run) start(s *Server, now time.Time, cancel context.CancelCauseFunc) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.state != StateQueued {
 		return false
 	}
-	r.state = StateRunning
 	r.started = now
 	r.cancel = cancel
+	r.transition(s, StateRunning, now)
 	return true
 }
 

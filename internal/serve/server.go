@@ -5,6 +5,14 @@
 // drain that checkpoints in-flight simulations through the
 // snapshot/restore path.
 //
+// A run waits for a later resume through one park operation, whatever
+// set it aside: an infeasible power admission, the power guard before
+// a window closes, or a drain. A park writes the snapshot to
+// <data>/<id>.snapshot.json and the parked record to
+// <data>/parked/<id>.json; a server starting on the data dir re-adopts
+// every parked record, so a drained run resumes after a restart exactly
+// as a power-parked one does.
+//
 // Design rules, in order:
 //
 //   - Admission is load-shed, never queued unboundedly: a full queue
@@ -14,6 +22,8 @@
 //     failed, cancelled, checkpointed), no matter what: a panicking run
 //     is journaled as failed and its worker survives; a drained run is
 //     parked as a resumable snapshot.
+//   - Every state change goes through run.transition under the run's
+//     lock, so the journal's order is the order clients observe.
 //   - The run journal is an audit trail behind a circuit breaker, not a
 //     lock on progress: a sick disk drops journal lines (counted), it
 //     does not stall simulations.
@@ -80,9 +90,10 @@ type Config struct {
 	// timeout_seconds may tighten but never exceed it. Zero means ten
 	// minutes; negative means no deadline.
 	RunTimeout time.Duration
-	// DataDir, when set, holds the runs.jsonl journal and drain
-	// checkpoints. Empty disables persistence (checkpoint-less drain
-	// cancels in-flight runs instead).
+	// DataDir, when set, holds the runs.jsonl journal and parked runs
+	// (snapshots and parked records), which a server started on the
+	// same dir re-adopts. Empty disables persistence (checkpoint-less
+	// drain cancels in-flight runs instead).
 	DataDir string
 	// Log receives structured operational log lines; nil discards them
 	// at zero cost. Every line about a specific run carries its run_id.
@@ -147,6 +158,7 @@ type Server struct {
 	runs   map[string]*run
 	order  []string
 	nextID int
+	parked atomic.Int64 // runs in parked-for-power, kept by run.transition
 
 	wg      sync.WaitGroup
 	journal *journalSink
@@ -347,34 +359,14 @@ func (s *Server) Submit(spec Spec) (RunInfo, error) {
 	if handled, info, err := s.powerAdmit(spec, time.Now()); handled {
 		return info, err
 	}
-	r := &run{spec: spec, state: StateQueued, submitted: time.Now()}
-	if d := time.Duration(spec.DeadlineSeconds * float64(time.Second)); d > 0 {
-		r.deadline = r.submitted.Add(d)
-	}
-	s.mu.Lock()
-	s.nextID++
-	r.id = fmt.Sprintf("r-%06d", s.nextID)
-	s.mu.Unlock()
-	r.log = s.log.With("run_id", r.id)
-
-	// r.mu is held from publication until the queued record is
-	// journaled: a worker's start and a client's Cancel both take r.mu,
-	// so their records always land after this one.
-	r.mu.Lock()
-	select {
-	case s.queue <- r:
-	default:
-		r.mu.Unlock()
+	r, ok := s.newRun(spec, time.Now(), true)
+	if !ok {
 		s.scope.Counter("runs_shed").Inc()
 		s.scope.Counter("outcome_shed").Inc()
 		r.log.Warn("run shed", "state", "shed", "queue_depth", s.cfg.QueueDepth)
 		return RunInfo{}, ErrQueueFull
 	}
-	s.mu.Lock()
-	s.runs[r.id] = r
-	s.order = append(s.order, r.id)
-	s.mu.Unlock()
-	s.journal.append(journalRecord{Time: time.Now(), Run: r.id, Name: spec.Name, State: StateQueued}, r.id, string(StateQueued))
+	r.transition(s, StateQueued, time.Now())
 	info := r.infoLocked()
 	r.mu.Unlock()
 	s.scope.Counter("runs_submitted").Inc()
@@ -384,6 +376,36 @@ func (s *Server) Submit(spec Spec) (RunInfo, error) {
 	r.log.Info("run admitted", "state", string(StateQueued), "spec", describeSpec(spec),
 		"queue_len", len(s.queue), "admission_wait_s", admissionWait)
 	return info, nil
+}
+
+// newRun builds a run of spec submitted at now, gives it the next run
+// id and registers it. With enqueue it is sent to the admission queue
+// first, and a full queue leaves it unregistered (ok false: shed, its
+// id spent). A registered run is returned with r.mu held and no state
+// yet: the caller journals its first state before unlocking, so no
+// worker or Cancel record can precede it.
+func (s *Server) newRun(spec Spec, now time.Time, enqueue bool) (r *run, ok bool) {
+	r = &run{spec: spec, submitted: now}
+	if d := time.Duration(spec.DeadlineSeconds * float64(time.Second)); d > 0 {
+		r.deadline = now.Add(d)
+	}
+	r.mu.Lock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.nextID++
+	r.id = fmt.Sprintf("r-%06d", s.nextID)
+	r.log = s.log.With("run_id", r.id)
+	if enqueue {
+		select {
+		case s.queue <- r:
+		default:
+			r.mu.Unlock()
+			return r, false
+		}
+	}
+	s.runs[r.id] = r
+	s.order = append(s.order, r.id)
+	return r, true
 }
 
 // Get returns a run's current view.
@@ -397,15 +419,21 @@ func (s *Server) Get(id string) (RunInfo, bool) {
 	return r.info(), true
 }
 
-// List returns every registered run in submission order.
-func (s *Server) List() []RunInfo {
+// snapshotRuns copies the run table (submission order) for lock-free
+// iteration.
+func (s *Server) snapshotRuns() []*run {
 	s.mu.Lock()
-	ids := append([]string(nil), s.order...)
-	runs := make([]*run, 0, len(ids))
-	for _, id := range ids {
+	runs := make([]*run, 0, len(s.order))
+	for _, id := range s.order {
 		runs = append(runs, s.runs[id])
 	}
 	s.mu.Unlock()
+	return runs
+}
+
+// List returns every registered run in submission order.
+func (s *Server) List() []RunInfo {
+	runs := s.snapshotRuns()
 	out := make([]RunInfo, 0, len(runs))
 	for _, r := range runs {
 		out = append(out, r.info())
@@ -430,10 +458,7 @@ func (s *Server) Cancel(id string) (RunInfo, error) {
 		r.mu.Unlock()
 		return r.info(), ErrTerminal
 	case r.state == StateQueued, r.state == StateParkedPower:
-		rec := r.finishLocked(StateCancelled, "cancelled by client", "", nil, nil, time.Now())
-		s.recordFinish(rec, lifecycleTimes{execSec: -1, parkSec: -1}, r.log)
-		removeQuiet(r.parkedPath)
-		removeQuiet(r.snapPath)
+		s.finishLocked(r, StateCancelled, "cancelled by client", nil, nil)
 		r.mu.Unlock()
 	default:
 		if r.interruptedAt.IsZero() {
@@ -446,7 +471,7 @@ func (s *Server) Cancel(id string) (RunInfo, error) {
 }
 
 // worker executes queued runs until the queue is closed by Drain.
-// During drain, still-queued runs are finalized as cancelled instead of
+// During drain, still-queued runs are settled (settleDrained) instead of
 // executed. Each launch first acquires a power-gate slot: the power
 // loop moves the gate's limit with the stranded-power envelope, so
 // workers idle (holding their queued run) while the window is closed
@@ -455,32 +480,36 @@ func (s *Server) Cancel(id string) (RunInfo, error) {
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for r := range s.queue {
-		if s.draining.Load() {
-			s.finishDrained(r)
-			continue
-		}
-		if !s.gate.acquire() {
-			// Gate closed: the server is shutting down.
-			s.finishDrained(r)
+		// A closed gate means the server is shutting down.
+		if s.draining.Load() || !s.gate.acquire() {
+			s.settleDrained(r, "cancelled: server draining")
 			continue
 		}
 		s.execute(r)
 		s.gate.release()
+		if !s.power.Enabled() && s.parked.Load() > 0 {
+			// No power loop runs to resubmit parked runs: the re-adopted
+			// ones that did not fit the queue at startup take the slot
+			// this run freed.
+			s.resubmitParked()
+		}
 	}
 }
 
-// finishDrained settles a queued run the drain overtook: one with a
-// resumable snapshot parks as a checkpoint (a successor server
-// re-adopts it), the rest cancel.
-func (s *Server) finishDrained(r *run) {
+// settleDrained settles a run the drain overtook — queued, parked, or
+// parked by the drain's own interrupt. One with a durable park snapshot
+// becomes checkpointed and keeps its parked record on disk, so a
+// successor server re-adopts it; any other is cancelled with why.
+func (s *Server) settleDrained(r *run, why string) {
 	r.mu.Lock()
-	snapPath := r.snapPath
-	r.mu.Unlock()
-	if snapPath != "" {
-		s.finish(r, StateCheckpointed, "", snapPath, nil, nil)
-		return
+	defer r.mu.Unlock()
+	switch {
+	case r.state.Terminal():
+	case r.checkpoint != "":
+		s.finishLocked(r, StateCheckpointed, "", nil, nil)
+	default:
+		s.finishLocked(r, StateCancelled, why, nil, nil)
 	}
-	s.finish(r, StateCancelled, "cancelled: server draining", "", nil, nil)
 }
 
 // execute runs one spec under panic isolation, a cancellable context,
@@ -490,7 +519,7 @@ func (s *Server) execute(r *run) {
 		if p := recover(); p != nil {
 			s.scope.Counter("run_panics").Inc()
 			r.log.Error("run panicked", "panic", fmt.Sprint(p), "stack", string(debug.Stack()))
-			s.finish(r, StateFailed, fmt.Sprintf("panic: %v", p), "", nil, nil)
+			s.finish(r, StateFailed, fmt.Sprintf("panic: %v", p), nil, nil)
 		}
 	}()
 
@@ -507,12 +536,11 @@ func (s *Server) execute(r *run) {
 		defer cancelT()
 	}
 
-	if !r.start(time.Now(), cancel) {
+	if !r.start(s, time.Now(), cancel) {
 		return // cancelled while queued
 	}
 	queueWait := r.started.Sub(r.submitted).Seconds()
 	s.scope.Histogram("queue_wait_seconds", 0, queueHistHi, lifecycleBuck).Observe(queueWait)
-	s.journal.append(journalRecord{Time: time.Now(), Run: r.id, Name: r.spec.Name, State: StateRunning}, r.id, string(StateRunning))
 	r.log.Info("run started", "state", string(StateRunning), "spec", describeSpec(r.spec),
 		"queue_wait_s", queueWait)
 
@@ -527,11 +555,17 @@ func (s *Server) execute(r *run) {
 	if s.execHook != nil {
 		m, err = s.execHook(ctx, r.spec)
 	} else {
+		var snap *sched.Snapshot
+		snap, err = s.takeResume(r)
+		if err != nil {
+			s.finish(r, StateFailed, err.Error(), nil, nil)
+			return
+		}
 		o := obs.Options{Log: s.log, RunID: r.id}
 		if r.spec.Trace != "" {
-			sink, tracePath, err = s.openTraceSink(r)
+			sink, tracePath, err = s.openTraceSink(r, snap != nil)
 			if err != nil {
-				s.finish(r, StateFailed, err.Error(), "", nil, nil)
+				s.finish(r, StateFailed, err.Error(), nil, nil)
 				return
 			}
 			// Abort is a no-op after Commit, so the deferred call only
@@ -539,33 +573,29 @@ func (s *Server) execute(r *run) {
 			defer sink.Abort()
 			o.Tracer = sink
 		}
-		var snap *sched.Snapshot
-		snap, err = s.takeResume(r)
-		if err != nil {
-			s.finish(r, StateFailed, err.Error(), "", nil, nil)
-			return
-		}
 		if snap != nil {
-			// A power-parked run resumes from its checkpoint: the
-			// snapshot carries job state, so only the system config is
-			// rebuilt.
+			// A parked run resumes from its checkpoint: the snapshot
+			// carries job state, so only the system config is rebuilt.
 			m, err = core.ResumeContext(ctx, core.RunConfig{System: r.spec.systemConfig(), Obs: o}, snap)
 		} else {
 			var cfg core.RunConfig
 			cfg, err = r.spec.runConfig(o)
 			if err != nil {
-				s.finish(r, StateFailed, err.Error(), "", nil, nil)
+				s.finish(r, StateFailed, err.Error(), nil, nil)
 				return
 			}
 			m, err = core.RunContext(ctx, cfg)
 		}
 	}
 	if err == nil {
-		if err := s.commitTrace(r, sink, tracePath); err != nil {
-			s.finish(r, StateFailed, err.Error(), "", nil, nil)
+		if err := commitTrace(sink); err != nil {
+			s.finish(r, StateFailed, err.Error(), nil, nil)
 			return
 		}
-		s.finish(r, StateDone, "", "", m, nil)
+		r.mu.Lock()
+		r.trace = tracePath
+		r.mu.Unlock()
+		s.finish(r, StateDone, "", m, nil)
 		return
 	}
 	var intr *core.Interrupted
@@ -573,13 +603,15 @@ func (s *Server) execute(r *run) {
 		s.settleInterrupted(ctx, r, intr, sink, tracePath)
 		return
 	}
-	s.finish(r, StateFailed, err.Error(), "", nil, nil)
+	s.finish(r, StateFailed, err.Error(), nil, nil)
 }
 
 // openTraceSink creates the event-trace sink a Spec.Trace run writes
 // into, under <data>/traces. The sink stages into a temp file; Commit
-// renames it into place, Abort discards it.
-func (s *Server) openTraceSink(r *run) (*tracebin.File, string, error) {
+// renames it into place, Abort discards it. A resumed run first copies
+// in the prefix its park committed at the same path, so the landed
+// trace holds every event of the run, not only those after the resume.
+func (s *Server) openTraceSink(r *run, resume bool) (*tracebin.File, string, error) {
 	if s.cfg.DataDir == "" {
 		return nil, "", errors.New("serve: spec requests a trace but the server has no data dir")
 	}
@@ -592,55 +624,63 @@ func (s *Server) openTraceSink(r *run) (*tracebin.File, string, error) {
 	if err != nil {
 		return nil, "", fmt.Errorf("serve: creating trace: %v", err)
 	}
+	if !resume {
+		return sink, path, nil
+	}
+	prefix, err := os.Open(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return sink, path, nil // the park landed no trace
+	}
+	if err == nil {
+		// Only this run's events: another run may have landed a trace
+		// under the same name since.
+		err = tracebin.ReadAny(prefix, func(e obs.Event) error {
+			if e.Run == r.id {
+				sink.Trace(e)
+			}
+			return nil
+		})
+		prefix.Close()
+	}
+	if err != nil {
+		sink.Abort()
+		return nil, "", fmt.Errorf("serve: copying trace prefix: %v", err)
+	}
 	return sink, path, nil
 }
 
-// commitTrace lands a run's trace atomically and records its path so
-// info() can echo it. A nil sink is a no-op.
-func (s *Server) commitTrace(r *run, sink *tracebin.File, path string) error {
+// commitTrace lands a run's trace atomically; a nil sink is a no-op.
+// The caller records the path in r.trace under r.mu.
+func commitTrace(sink *tracebin.File) error {
 	if sink == nil {
 		return nil
 	}
 	if err := sink.Commit(); err != nil {
 		return fmt.Errorf("serve: committing trace: %v", err)
 	}
-	r.mu.Lock()
-	r.trace = path
-	r.mu.Unlock()
 	return nil
 }
 
-// settleInterrupted maps an interrupted simulation to its terminal
-// state from the context cause: a deadline fails it, a drain parks it
-// as a checkpoint (when there is a data dir to park it in), and a
-// client cancel discards it. A checkpointed run commits its trace too —
-// the prefix written so far is a valid trace of the work done before
-// the park, and resuming appends a fresh file anyway.
+// settleInterrupted maps an interrupted simulation to its next state
+// from the context cause: a deadline fails it, a client cancel discards
+// it, and a power-guard preemption or a drain parks it. The drain then
+// settles the parked run at once: checkpointed when its snapshot is on
+// disk, cancelled otherwise.
 func (s *Server) settleInterrupted(ctx context.Context, r *run, intr *core.Interrupted, sink *tracebin.File, tracePath string) {
 	cause := context.Cause(ctx)
 	switch {
 	case errors.Is(cause, errRunDeadline):
-		s.finish(r, StateFailed, errRunDeadline.Error(), "", nil, nil)
-	case errors.Is(cause, errPowerPark):
-		// Preemptive power drain: the window's predicted end is near.
-		// The run parks (not terminal) and resumes when it reopens.
-		s.parkInterrupted(r, intr, sink, tracePath)
-	case errors.Is(cause, errDrainCheckpoint) && s.cfg.DataDir != "" && intr.Snapshot != nil:
-		path := filepath.Join(s.cfg.DataDir, r.id+".snapshot.json")
-		if err := persist.SaveJSON(path, snapshotFileKind, sched.SnapshotVersion, intr.Snapshot); err != nil {
-			s.finish(r, StateFailed, fmt.Sprintf("draining: checkpoint save failed: %v", err), "", nil, nil)
+		s.finish(r, StateFailed, errRunDeadline.Error(), nil, nil)
+	case errors.Is(cause, errPowerPark), errors.Is(cause, errDrainCheckpoint):
+		checkpoint := s.park(r, intr.Snapshot, sink, tracePath)
+		if errors.Is(cause, errDrainCheckpoint) {
+			s.settleDrained(r, "cancelled: server draining (no data dir to checkpoint into)")
 			return
 		}
-		if err := s.commitTrace(r, sink, tracePath); err != nil {
-			// The snapshot is the payload here; a lost trace prefix is
-			// worth a log line, not a failed park.
-			r.log.Error("trace commit failed on checkpoint", "err", err.Error())
-		}
-		s.finish(r, StateCheckpointed, "", path, nil, nil)
-	case errors.Is(cause, errDrainCheckpoint):
-		s.finish(r, StateCancelled, "cancelled: server draining (no data dir to checkpoint into)", "", nil, nil)
+		s.scope.Counter("power_parked_midrun").Inc()
+		r.log.Info("run parked for power", "state", string(StateParkedPower), "checkpoint", checkpoint)
 	default:
-		s.finish(r, StateCancelled, errCancelled.Error(), "", nil, nil)
+		s.finish(r, StateCancelled, errCancelled.Error(), nil, nil)
 	}
 }
 
@@ -650,7 +690,7 @@ func (s *Server) settleInterrupted(ctx context.Context, r *run, intr *core.Inter
 func (s *Server) executeExperiment(ctx context.Context, r *run) {
 	e, err := experiments.ByID(r.spec.Experiment)
 	if err != nil {
-		s.finish(r, StateFailed, err.Error(), "", nil, nil)
+		s.finish(r, StateFailed, err.Error(), nil, nil)
 		return
 	}
 	opt := experiments.Options{Seed: r.spec.Seed}
@@ -665,68 +705,72 @@ func (s *Server) executeExperiment(ctx context.Context, r *run) {
 	})
 	tbl, err := e.Run(lab)
 	if err == nil {
-		s.finish(r, StateDone, "", "", nil, tbl)
+		s.finish(r, StateDone, "", nil, tbl)
 		return
 	}
 	if ctx.Err() != nil {
 		cause := context.Cause(ctx)
 		switch {
 		case errors.Is(cause, errRunDeadline):
-			s.finish(r, StateFailed, errRunDeadline.Error(), "", nil, nil)
+			s.finish(r, StateFailed, errRunDeadline.Error(), nil, nil)
 		case errors.Is(cause, errDrainCheckpoint):
-			s.finish(r, StateCancelled, "cancelled: server draining", "", nil, nil)
+			s.finish(r, StateCancelled, "cancelled: server draining", nil, nil)
 		default:
-			s.finish(r, StateCancelled, errCancelled.Error(), "", nil, nil)
+			s.finish(r, StateCancelled, errCancelled.Error(), nil, nil)
 		}
 		return
 	}
-	s.finish(r, StateFailed, err.Error(), "", nil, nil)
-}
-
-// finishLocked transitions the run to a terminal state; r.mu must be
-// held. It returns the journal record describing the transition.
-func (r *run) finishLocked(st State, errMsg, checkpoint string, m *core.Metrics, tbl *experiments.Table, now time.Time) journalRecord {
-	r.state = st
-	r.err = errMsg
-	r.checkpoint = checkpoint
-	r.metrics = m
-	r.table = tbl
-	r.finished = now
-	return journalRecord{Time: now, Run: r.id, Name: r.spec.Name, State: st, Error: errMsg, Checkpoint: checkpoint}
-}
-
-// lifecycleTimes captures the durations a terminal transition closes
-// out.
-type lifecycleTimes struct {
-	execSec float64 // started → finished; < 0 if the run never started
-	parkSec float64 // interrupt → finished; < 0 if never interrupted
+	s.finish(r, StateFailed, err.Error(), nil, nil)
 }
 
 // finish finalizes a run unless it already reached a terminal state.
-// The terminal record is journaled and the park artifacts removed under
-// r.mu, so a client that observes the terminal state finds it durable
-// and the artifacts gone.
-func (s *Server) finish(r *run, st State, errMsg, checkpoint string, m *core.Metrics, tbl *experiments.Table) {
+func (s *Server) finish(r *run, st State, errMsg string, m *core.Metrics, tbl *experiments.Table) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.state.Terminal() {
-		return
+	if !r.state.Terminal() {
+		s.finishLocked(r, st, errMsg, m, tbl)
 	}
-	rec := r.finishLocked(st, errMsg, checkpoint, m, tbl, time.Now())
-	lt := lifecycleTimes{execSec: -1, parkSec: -1}
+}
+
+// finishLocked removes the run's park artifacts — except for
+// checkpointed, whose parked record and snapshot a successor server
+// re-adopts — then moves it to a terminal state, accounts and logs it;
+// r.mu held. A client that observes the terminal state thus finds it
+// journaled and the artifacts gone.
+func (s *Server) finishLocked(r *run, st State, errMsg string, m *core.Metrics, tbl *experiments.Table) {
+	r.err, r.metrics, r.table, r.finished = errMsg, m, tbl, time.Now()
+	if st != StateCheckpointed {
+		removeQuiet(r.parkedPath)
+		removeQuiet(r.checkpoint)
+		r.parkedPath, r.checkpoint = "", ""
+	}
+	r.transition(s, st, r.finished)
+	outcome := outcomeOf(st, errMsg)
+	s.scope.Counter("runs_" + string(st)).Inc()
+	s.scope.Counter("outcome_" + outcome).Inc()
+	kv := make([]any, 0, 10)
+	kv = append(kv, "state", string(st), "outcome", outcome)
 	if !r.started.IsZero() {
-		lt.execSec = r.finished.Sub(r.started).Seconds()
+		execSec := r.finished.Sub(r.started).Seconds()
+		s.scope.Histogram("exec_seconds", 0, execHistHi, lifecycleBuck).Observe(execSec)
+		s.scope.Histogram("exec_seconds_"+outcome, 0, execHistHi, lifecycleBuck).Observe(execSec)
+		s.observeExecTime(execSec)
+		kv = append(kv, "exec_s", execSec)
 	}
 	if !r.interruptedAt.IsZero() {
-		lt.parkSec = r.finished.Sub(r.interruptedAt).Seconds()
+		parkSec := r.finished.Sub(r.interruptedAt).Seconds()
+		s.scope.Histogram("park_seconds", 0, parkHistHi, lifecycleBuck).Observe(parkSec)
+		kv = append(kv, "park_s", parkSec)
 	}
-	s.recordFinish(rec, lt, r.log)
-	if st != StateCheckpointed {
-		// Parked-for-power artifacts outlive only non-terminal states
-		// (and checkpointed, which a successor server re-adopts).
-		removeQuiet(r.parkedPath)
-		removeQuiet(r.snapPath)
+	if errMsg != "" {
+		kv = append(kv, "err", errMsg)
+		r.log.Warn("run finished", kv...)
+		return
 	}
+	if r.checkpoint != "" {
+		kv = append(kv, "checkpoint", r.checkpoint)
+	}
+	r.log.Info("run finished", kv...)
 }
 
 // outcomeOf maps a terminal transition to its lifecycle outcome label:
@@ -752,50 +796,11 @@ func outcomeOf(st State, errMsg string) string {
 	return string(st)
 }
 
-// recordFinish accounts, journals, and logs a terminal transition.
-func (s *Server) recordFinish(rec journalRecord, lt lifecycleTimes, rl *obs.Logger) {
-	outcome := outcomeOf(rec.State, rec.Error)
-	s.scope.Counter("runs_" + string(rec.State)).Inc()
-	s.scope.Counter("outcome_" + outcome).Inc()
-	if lt.execSec >= 0 {
-		s.scope.Histogram("exec_seconds", 0, execHistHi, lifecycleBuck).Observe(lt.execSec)
-		s.scope.Histogram("exec_seconds_"+outcome, 0, execHistHi, lifecycleBuck).Observe(lt.execSec)
-		s.observeExecTime(lt.execSec)
-	}
-	if lt.parkSec >= 0 {
-		s.scope.Histogram("park_seconds", 0, parkHistHi, lifecycleBuck).Observe(lt.parkSec)
-	}
-	s.journal.append(rec, rec.Run, string(rec.State))
-	kv := make([]any, 0, 10)
-	kv = append(kv, "state", string(rec.State), "outcome", outcome)
-	if lt.execSec >= 0 {
-		kv = append(kv, "exec_s", lt.execSec)
-	}
-	if lt.parkSec >= 0 {
-		kv = append(kv, "park_s", lt.parkSec)
-	}
-	if rec.Error != "" {
-		kv = append(kv, "err", rec.Error)
-		rl.Warn("run finished", kv...)
-		return
-	}
-	if rec.Checkpoint != "" {
-		kv = append(kv, "checkpoint", rec.Checkpoint)
-	}
-	rl.Info("run finished", kv...)
-}
-
 // interruptRunning cancels every running run with the given cause and
 // returns how many were signalled.
 func (s *Server) interruptRunning(cause error) int {
-	s.mu.Lock()
-	runs := make([]*run, 0, len(s.runs))
-	for _, r := range s.runs {
-		runs = append(runs, r)
-	}
-	s.mu.Unlock()
 	n := 0
-	for _, r := range runs {
+	for _, r := range s.snapshotRuns() {
 		if r.interrupt(cause) {
 			n++
 		}
@@ -849,10 +854,10 @@ func (s *Server) drain(ctx context.Context) error {
 	s.ts.Stop()
 	close(s.powerStop)
 	s.powerWG.Wait()
-	// Runs still parked for power settle now: checkpointed when they
-	// have a durable snapshot (their parked records stay on disk for a
-	// successor server), cancelled otherwise.
-	s.finalizeParked()
+	// Every run is terminal or parked now; the parked ones settle.
+	for _, r := range s.snapshotRuns() {
+		s.settleDrained(r, "cancelled: server draining while parked for power")
+	}
 	close(s.fleetStop)
 	s.fleetWG.Wait()
 	// One final registry pass: a sweep that finished just before drain
@@ -930,18 +935,12 @@ var lifecycleStages = [...]string{"admission_wait", "queue_wait", "exec", "park"
 // Status summarizes the server for /status: occupancy, cumulative run
 // outcomes, and interpolated p50/p95/p99 for each lifecycle stage.
 func (s *Server) Status() obs.ServeStatus {
-	s.mu.Lock()
-	runs := make([]*run, 0, len(s.runs))
-	for _, r := range s.runs {
-		runs = append(runs, r)
-	}
-	s.mu.Unlock()
 	st := obs.ServeStatus{
 		Workers:  s.cfg.Workers,
 		Draining: s.draining.Load(),
 	}
 	parked := 0
-	for _, r := range runs {
+	for _, r := range s.snapshotRuns() {
 		switch r.currentState() {
 		case StateQueued:
 			st.Queued++

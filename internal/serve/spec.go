@@ -83,9 +83,11 @@ type Spec struct {
 	// server's data dir (<data>/traces/<name>). It must be a bare file
 	// name; the suffix picks the format — ".zct" binary columnar,
 	// ".jsonl.gz" gzipped JSONL, ".jsonl" plain. The trace lands
-	// atomically when the run completes (or checkpoints, as a usable
-	// prefix) and is echoed back as RunInfo.Trace. Requires a data dir;
-	// ignored for experiment specs, which aggregate many runs.
+	// atomically when the run completes (or parks, as a usable prefix)
+	// and is echoed back as RunInfo.Trace; a resumed run copies the
+	// prefix in first, so the completed trace holds every event of the
+	// run. Requires a data dir; ignored for experiment specs, which
+	// aggregate many runs.
 	Trace string `json:"trace,omitempty"`
 }
 

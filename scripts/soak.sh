@@ -7,7 +7,10 @@
 #
 #   - the daemon exits 0 within the drain deadline;
 #   - every accepted run's journal record ends in a terminal state;
-#   - checkpointed runs left resumable snapshot files behind.
+#   - checkpointed runs left resumable snapshot files behind;
+#   - a daemon restarted on the same data dir re-adopts exactly the
+#     runs whose last journal state is checkpointed (/metrics), and
+#     after a second SIGTERM every accepted run is terminal again.
 #
 # Agent mode:  scripts/soak.sh agents
 #   Distributed-sweep chaos: start zccd with short fleet TTLs, spawn
@@ -658,20 +661,27 @@ if [ "$naccepted" -eq 0 ]; then
 	echo "soak accepted no runs; traffic mix too hostile" >&2
 	exit 1
 fi
-bad=0
-while read -r id; do
-	[ -n "$id" ] || continue
-	final=$(grep "\"run\":\"$id\"" "$journal" | tail -n 1 |
-		sed -n 's/.*"state":"\([^"]*\)".*/\1/p')
-	case $final in
-	done|failed|cancelled|checkpointed) ;;
-	*)
-		echo "run $id final journal state '$final' not terminal" >&2
-		bad=1
-		;;
-	esac
-done <"$tmpdir/accepted.all"
-[ "$bad" -eq 0 ] || exit 1
+# last_state <id>: the run's final state in the journal.
+last_state() {
+	grep "\"run\":\"$1\"" "$journal" | tail -n 1 | sed -n 's/.*"state":"\([^"]*\)".*/\1/p'
+}
+# check_terminal: every accepted run's last journal record is terminal.
+check_terminal() {
+	_bad=0
+	while read -r id; do
+		[ -n "$id" ] || continue
+		final=$(last_state "$id")
+		case $final in
+		done|failed|cancelled|checkpointed) ;;
+		*)
+			echo "run $id final journal state '$final' not terminal" >&2
+			_bad=1
+			;;
+		esac
+	done <"$tmpdir/accepted.all"
+	[ "$_bad" -eq 0 ] || exit 1
+}
+check_terminal
 
 nckpt=$(grep -c '"state":"checkpointed"' "$journal" || true)
 nsnap=$(ls "$tmpdir/data"/*.snapshot.json 2>/dev/null | wc -l)
@@ -680,4 +690,37 @@ if [ "$nckpt" -gt 0 ] && [ "$nsnap" -eq 0 ]; then
 	exit 1
 fi
 echo "accepted $naccepted runs, all terminal ($nckpt checkpointed, $nsnap snapshots)"
+
+echo "== restart on the same data dir: checkpointed runs are re-adopted"
+# Runs whose last journal state is checkpointed, counted before the
+# successor appends to the journal.
+sed -n 's/.*"run":"\([^"]*\)".*/\1/p' "$journal" | sort -u >"$tmpdir/journaled"
+nlastckpt=0
+while read -r id; do
+	[ "$(last_state "$id")" = checkpointed ] && nlastckpt=$((nlastckpt + 1))
+done <"$tmpdir/journaled"
+"$tmpdir/zccd" -addr 127.0.0.1:0 -workers 4 -queue 8 \
+	-drain-grace 2s -data "$tmpdir/data" 2>"$tmpdir/zccd2.err" &
+daemonpid=$!
+addr=$(wait_addr "$tmpdir/zccd2.err" "$daemonpid")
+readopted=$(curl -fsS "http://$addr/metrics" |
+	sed -n 's/^[a-z_]*power_readopted \([0-9][0-9]*\)$/\1/p')
+if [ "${readopted:-0}" -ne "$nlastckpt" ]; then
+	echo "restarted daemon re-adopted ${readopted:-0} runs, want $nlastckpt (last state checkpointed)" >&2
+	cat "$tmpdir/zccd2.err" >&2
+	exit 1
+fi
+# The long runs resume; no need to wait for them to finish.
+sleep 1
+echo "== SIGTERM the restarted daemon"
+kill -TERM "$daemonpid"
+wait "$daemonpid" && rc=0 || rc=$?
+daemonpid=""
+if [ "$rc" -ne 0 ]; then
+	echo "restarted daemon exited $rc, want 0; stderr:" >&2
+	cat "$tmpdir/zccd2.err" >&2
+	exit 1
+fi
+check_terminal
+echo "re-adopted $readopted checkpointed runs; all accepted runs terminal again"
 echo "== ok"
