@@ -12,10 +12,11 @@
 // rather than buffering without limit. SIGINT/SIGTERM drains the
 // service gracefully — admission stops (503), queued runs are
 // cancelled, in-flight runs get -drain-grace to finish before being
-// parked as resumable checkpoints under -data (a zccd restarted on the
-// same -data resumes them; zccsim -restore accepts the snapshot files
-// too), and the HTTP server shuts down with a deadline. A clean drain
-// exits 0.
+// parked as resumable checkpoints under -data (zccsim -restore accepts
+// the snapshot files too), and the HTTP server shuts down with a
+// deadline. A clean drain exits 0. -data/runs.jsonl journals every run
+// with its spec: a zccd restarted on the same -data, after a drain or
+// a crash, re-adopts every run not done, failed or cancelled.
 package main
 
 import (

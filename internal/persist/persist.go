@@ -195,13 +195,45 @@ type Journal struct {
 	w *bufio.Writer
 }
 
-// OpenJournal opens (creating if needed) a journal for appending.
+// OpenJournal opens (creating if needed) a journal for appending. A torn
+// final line, left by a crash mid-append, is cut off first: appended
+// after it, the next record would turn it into a corrupt line in the
+// middle of the journal, which ReadJournal refuses.
 func OpenJournal(path string) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
+	if err := dropTornTail(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("persist: %w", err)
+	}
 	return &Journal{f: f, w: bufio.NewWriter(f)}, nil
+}
+
+// dropTornTail truncates f after its last newline.
+func dropTornTail(f *os.File) error {
+	end, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
+		return err
+	}
+	buf := make([]byte, 4096)
+	off := end
+	for off > 0 {
+		n := min(off, int64(len(buf)))
+		off -= n
+		if _, err := f.ReadAt(buf[:n], off); err != nil {
+			return err
+		}
+		if i := bytes.LastIndexByte(buf[:n], '\n'); i >= 0 {
+			off += int64(i) + 1
+			break
+		}
+	}
+	if off == end {
+		return nil
+	}
+	return f.Truncate(off)
 }
 
 // Append marshals rec as one JSON line, writes it, and fsyncs. A record

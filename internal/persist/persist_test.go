@@ -175,6 +175,44 @@ func TestJournalTornTailIgnored(t *testing.T) {
 	}
 }
 
+// TestJournalReopenDropsTornTail: appending after a crash mid-append
+// must not glue the next record onto the torn fragment, which would
+// leave a corrupt line in the middle of the journal.
+func TestJournalReopenDropsTornTail(t *testing.T) {
+	for _, torn := range []string{`{"name":"c","val`, strings.Repeat("x", 5000)} {
+		path := filepath.Join(t.TempDir(), "journal.jsonl")
+		j, _ := OpenJournal(path)
+		j.Append(doc{Name: "a", Value: 1})
+		j.Close()
+		f, _ := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+		f.WriteString(torn)
+		f.Close()
+		j, err := OpenJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Append(doc{Name: "b", Value: 2}); err != nil {
+			t.Fatal(err)
+		}
+		j.Close()
+		if got := readAll(t, path); len(got) != 2 || got[0].Name != "a" || got[1].Name != "b" {
+			t.Fatalf("after reopen over a %d-byte torn tail: %+v", len(torn), got)
+		}
+	}
+	// A journal that is all torn fragment reopens empty.
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	os.WriteFile(path, []byte(`{"name":"a"`), 0o644)
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Append(doc{Name: "b", Value: 2})
+	j.Close()
+	if got := readAll(t, path); len(got) != 1 || got[0].Name != "b" {
+		t.Fatalf("after reopen over a journal with no complete line: %+v", got)
+	}
+}
+
 func TestJournalTornMiddleIsError(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
 	if err := os.WriteFile(path, []byte("{\"name\":\"a\"}\n{bad json}\n{\"name\":\"c\"}\n"), 0o644); err != nil {

@@ -46,7 +46,8 @@ type apiError struct {
 // Submit maps admission outcomes to statuses: malformed or invalid
 // specs → 400, queue full → 429 with a Retry-After derived from the
 // observed drain rate (jittered so shed clients spread out), draining
-// → 503.
+// → 503, and a journal that cannot record the run → 503 with a
+// Retry-After no longer than the journal breaker's cooldown.
 //
 // Every response carries an X-Request-ID header — a client-supplied one
 // is honored, so an agent's request IDs thread through control-plane
@@ -170,6 +171,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", strconv.Itoa(s.powerRetryAfter(shed.RetryAfter)))
 		writeJSON(w, http.StatusTooManyRequests, apiError{Error: err.Error()})
 	case errors.Is(err, ErrDraining):
+		writeJSON(w, http.StatusServiceUnavailable, apiError{Error: err.Error()})
+	case errors.Is(err, ErrJournalUnavailable):
+		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterHint(journalCooldown.Seconds(), 1, int(journalCooldown.Seconds()))))
 		writeJSON(w, http.StatusServiceUnavailable, apiError{Error: err.Error()})
 	case err != nil:
 		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -138,6 +139,30 @@ func TestAPIQueueFull429(t *testing.T) {
 	}
 	if ra := resp.Header.Get("Retry-After"); ra == "" {
 		t.Fatal("429 without Retry-After")
+	}
+}
+
+// TestAPIJournalUnavailable503: a submission the run journal cannot
+// record is refused with 503 and a Retry-After within the journal
+// breaker's cooldown — before the breaker opens and while it is open.
+func TestAPIJournalUnavailable503(t *testing.T) {
+	s, ts := newAPIServer(t, Config{Workers: 1})
+	s.journal.mu.Lock()
+	s.journal.app = &brokenAppender{}
+	s.journal.retry.Sleep = func(time.Duration) {}
+	s.journal.mu.Unlock()
+	for i := 0; i < 5; i++ {
+		resp, body := doJSON(t, "POST", ts.URL+"/v1/runs", `{}`)
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("POST %d = %d: %s, want 503", i, resp.StatusCode, body)
+		}
+		ra, err := strconv.Atoi(resp.Header.Get("Retry-After"))
+		if err != nil || ra < 1 || time.Duration(ra)*time.Second > journalCooldown {
+			t.Fatalf("POST %d Retry-After = %q, want 1..%v", i, resp.Header.Get("Retry-After"), journalCooldown)
+		}
+	}
+	if runs := s.List(); len(runs) != 0 {
+		t.Fatalf("refused submissions registered %d runs", len(runs))
 	}
 }
 

@@ -1,6 +1,9 @@
 package serve
 
 import (
+	"fmt"
+	"io"
+	"slices"
 	"sync"
 	"time"
 
@@ -9,17 +12,48 @@ import (
 )
 
 // journalRecord is one runs.jsonl line: a run's state transition with
-// wall-clock timestamp. The journal is an audit trail — replaying it
-// yields each run's final state (last line wins), which is how the soak
-// harness verifies every accepted run reached a terminal state across a
-// daemon restart.
+// wall-clock timestamp. runs.jsonl is zccd's one durable run store: a
+// run's first record in each server process also carries its spec and
+// deadline, and its very first record's Time is the submission.
 type journalRecord struct {
-	Time       time.Time `json:"time"`
-	Run        string    `json:"run"`
-	Name       string    `json:"name,omitempty"`
-	State      State     `json:"state"`
-	Error      string    `json:"error,omitempty"`
-	Checkpoint string    `json:"checkpoint,omitempty"`
+	Time       time.Time  `json:"time"`
+	Run        string     `json:"run"`
+	Name       string     `json:"name,omitempty"`
+	State      State      `json:"state"`
+	Error      string     `json:"error,omitempty"`
+	Checkpoint string     `json:"checkpoint,omitempty"`
+	Spec       *Spec      `json:"spec,omitempty"`
+	Deadline   *time.Time `json:"deadline,omitempty"`
+}
+
+// replayRuns reads the run journal (missing file = empty, torn tail
+// tolerated) last-record-wins per run, like replayRegistry. It returns
+// each run whose last state is not done, failed or cancelled, in
+// submission order, as its first record with the last one's state and
+// checkpoint — skipping runs journaled before records carried specs —
+// and the highest run-id suffix journaled.
+func replayRuns(path string) (open []journalRecord, nextSeq int, err error) {
+	at := make(map[string]int) // run id → index in open
+	err = persist.ReadJournal(path, func() any { return &journalRecord{} },
+		func(rec any) error {
+			r := rec.(*journalRecord)
+			if n, ok := idSeq(r.Run, "r-"); ok && n > nextSeq {
+				nextSeq = n
+			}
+			if i, ok := at[r.Run]; ok {
+				open[i].State, open[i].Checkpoint = r.State, r.Checkpoint
+			} else {
+				at[r.Run] = len(open)
+				open = append(open, *r)
+			}
+			return nil
+		})
+	if err != nil {
+		return nil, 0, fmt.Errorf("serve: replaying run journal: %w", err)
+	}
+	return slices.DeleteFunc(open, func(r journalRecord) bool {
+		return r.Spec == nil || r.State == StateDone || r.State == StateFailed || r.State == StateCancelled
+	}), nextSeq, nil
 }
 
 // appender is the journal's write surface; *persist.Journal satisfies
@@ -31,10 +65,10 @@ type appender interface {
 // journalSink writes journal records through a retry policy and a
 // circuit breaker, so a transiently sick disk neither loses every
 // record nor stalls the run workers behind unbounded retries. The same
-// sink fronts both the run journal (runs.jsonl, advisory: the caller
-// drops the record and carries on) and the sweep registry journal
-// (sweeps/registry.jsonl, where callers check the returned error
-// because registration durability is the whole point).
+// sink fronts both the run journal (runs.jsonl) and the sweep registry
+// journal (sweeps/registry.jsonl). Callers check the returned error
+// where durability is the point — a run's admission record, a sweep
+// registration — and drop later records on failure (counted).
 //
 // Breaker transitions are surfaced three ways: a warn/info log line
 // carrying the correlation id whose append crossed the state, a
@@ -55,11 +89,15 @@ type journalSink struct {
 	trips   int64 // last Trips() value mirrored into the counter
 }
 
+// journalCooldown is how long an open journal breaker refuses appends;
+// a submission refused meanwhile is told to retry within it.
+const journalCooldown = 2 * time.Second
+
 func newJournalSink(idKey string, app appender, log *obs.Logger, scope obs.Scope) *journalSink {
 	return &journalSink{
 		idKey: idKey,
 		app:   app,
-		br:    persist.NewBreaker(3, 2*time.Second),
+		br:    persist.NewBreaker(3, journalCooldown),
 		retry: persist.RetryPolicy{Attempts: 3, Base: 5 * time.Millisecond, Max: 100 * time.Millisecond},
 		log:   log,
 		scope: scope,
@@ -103,7 +141,7 @@ func (s *journalSink) observeBreaker(id, state string, err error) {
 		if open {
 			s.scope.Gauge("journal_breaker_open").Set(1)
 			s.log.Warn("journal breaker opened", s.idKey, id,
-				"state", state, "err", errString(err), "trips", s.trips)
+				"state", state, "err", fmt.Sprint(err), "trips", s.trips)
 		} else {
 			s.scope.Gauge("journal_breaker_open").Set(0)
 			s.log.Info("journal breaker closed", s.idKey, id, "state", state)
@@ -111,11 +149,17 @@ func (s *journalSink) observeBreaker(id, state string, err error) {
 	}
 }
 
-func errString(err error) string {
-	if err == nil {
-		return ""
+// close closes the journal file. Later appends are no-ops, as on a
+// server without a data dir.
+func (s *journalSink) close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	c, _ := s.app.(io.Closer)
+	s.app = nil
+	if c == nil {
+		return nil
 	}
-	return err.Error()
+	return c.Close()
 }
 
 // droppedCount returns how many records were lost to sink failures.

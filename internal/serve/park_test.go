@@ -10,6 +10,7 @@ import (
 	"zccloud/internal/admit"
 	"zccloud/internal/core"
 	"zccloud/internal/obs"
+	"zccloud/internal/sched"
 	"zccloud/internal/tracebin"
 )
 
@@ -32,6 +33,23 @@ func countFinishes(t *testing.T, path string) int {
 		t.Fatalf("read trace: %v", err)
 	}
 	return n
+}
+
+// replayedRun returns run id as a server starting on dir replays it from
+// runs.jsonl, failing the test when the replay would not re-adopt it.
+func replayedRun(t *testing.T, dir, id string) journalRecord {
+	t.Helper()
+	open, _, err := replayRuns(filepath.Join(dir, "runs.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range open {
+		if rec.Run == id {
+			return rec
+		}
+	}
+	t.Fatalf("run %s not replayed as unfinished", id)
+	return journalRecord{}
 }
 
 // TestDrainedRunResumesOnRestart: a run drained mid-simulation is
@@ -79,13 +97,17 @@ func TestDrainedRunResumesOnRestart(t *testing.T) {
 		t.Fatalf("state after drain = %s (%s), want checkpointed", drained.State, drained.Error)
 	}
 	snapFile := filepath.Join(dir, drained.ID+".snapshot.json")
-	parkedFile := filepath.Join(dir, "parked", drained.ID+".json")
 	if drained.Checkpoint != snapFile {
 		t.Fatalf("checkpoint = %q, want %q", drained.Checkpoint, snapFile)
 	}
-	if !fileExists(snapFile) || !fileExists(parkedFile) {
-		t.Fatalf("drain left snapshot %v, parked record %v; want both",
-			fileExists(snapFile), fileExists(parkedFile))
+	if !fileExists(snapFile) {
+		t.Fatal("drain left no snapshot")
+	}
+	if fileExists(filepath.Join(dir, "parked")) {
+		t.Fatal("drain created a parked/ directory")
+	}
+	if rec := replayedRun(t, dir, drained.ID); rec.State != StateCheckpointed || rec.Spec == nil || *rec.Spec != spec {
+		t.Fatalf("journal replays %s as %s with spec %+v; want checkpointed with %+v", drained.ID, rec.State, rec.Spec, spec)
 	}
 
 	b := newTestServer(t, Config{Workers: 1, DataDir: dir})
@@ -103,9 +125,8 @@ func TestDrainedRunResumesOnRestart(t *testing.T) {
 			got.Completed, got.AvgWaitHrs, got.MakespanDays,
 			want.Completed, want.AvgWaitHrs, want.MakespanDays)
 	}
-	if fileExists(snapFile) || fileExists(parkedFile) {
-		t.Fatalf("after completion: snapshot %v, parked record %v; want both gone",
-			fileExists(snapFile), fileExists(parkedFile))
+	if fileExists(snapFile) {
+		t.Fatal("snapshot not cleaned up after completion")
 	}
 }
 
@@ -216,5 +237,149 @@ func TestPowerParkedTraceKeepsPrefix(t *testing.T) {
 	}
 	if got := countFinishes(t, final.Trace); got != want {
 		t.Fatalf("resumed trace has %d finish events, want %d (uninterrupted run)", got, want)
+	}
+}
+
+// TestQueuedAndRunningRunsSurviveKill: runs queued or running when a
+// server is killed are re-adopted from runs.jsonl by a successor on the
+// same data dir and complete; the running simulation re-runs to the
+// uninterrupted run's metrics.
+func TestQueuedAndRunningRunsSurviveKill(t *testing.T) {
+	dir := t.TempDir()
+	long := Spec{Days: 365, MiraNodes: 4096, Scale: 2}.withDefaults()
+	refCfg, err := long.runConfig(obs.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.Run(refCfg)
+	if err != nil {
+		t.Fatalf("reference run: %v", err)
+	}
+
+	a, err := New(Config{Workers: 1, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	running, err := a.Submit(long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued, err := a.Submit(tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		st, _ := a.Get(running.ID)
+		if st.State == StateRunning {
+			break
+		}
+		if st.State.Terminal() {
+			t.Skip("run finished before the kill")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	a.Kill()
+	for id, st := range map[string]State{running.ID: StateRunning, queued.ID: StateQueued} {
+		if rec := replayedRun(t, dir, id); rec.State != st {
+			t.Fatalf("journal replays %s as %s, want %s", id, rec.State, st)
+		}
+	}
+
+	b := newTestServer(t, Config{Workers: 1, DataDir: dir})
+	if got := b.scope.Counter("power_readopted").Value(); got != 2 {
+		t.Fatalf("power_readopted = %d, want 2", got)
+	}
+	for _, id := range []string{running.ID, queued.ID} {
+		if final := waitTerminal(t, b, id); final.State != StateDone {
+			t.Fatalf("run %s = %s (%s), want done", id, final.State, final.Error)
+		}
+	}
+	got, _ := b.Get(running.ID)
+	if m := got.Metrics; m.Completed != want.Completed || m.AvgWaitHrs != want.AvgWaitHrs ||
+		m.MakespanDays != want.MakespanDays {
+		t.Fatalf("re-adopted metrics diverge: got %d jobs / %.6f h / %.6f d, want %d / %.6f / %.6f",
+			m.Completed, m.AvgWaitHrs, m.MakespanDays, want.Completed, want.AvgWaitHrs, want.MakespanDays)
+	}
+}
+
+// TestRunIDsNotReusedAfterRestart: a successor server on the same data
+// dir issues ids past every journaled one, so no two runs share an id
+// in runs.jsonl.
+func TestRunIDsNotReusedAfterRestart(t *testing.T) {
+	dir := t.TempDir()
+	a, err := New(Config{Workers: 1, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := a.Submit(tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final := waitTerminal(t, a, first.ID); final.State != StateDone {
+		t.Fatalf("state = %s (%s), want done", final.State, final.Error)
+	}
+	if err := a.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	b := newTestServer(t, Config{Workers: 1, DataDir: dir})
+	second, err := b.Submit(tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.ID == first.ID {
+		t.Fatalf("successor reissued run id %s", second.ID)
+	}
+}
+
+// TestClientCancelDuringParkWins: a client cancel that reaches a run the
+// drain has already interrupted cannot cancel its context again (the
+// first cause wins), but it still ends the run cancelled — not
+// checkpointed for a successor to resume and complete.
+func TestClientCancelDuringParkWins(t *testing.T) {
+	dir := t.TempDir()
+	a, err := New(Config{Workers: 1, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make(chan string, 1)
+	cancelErr := make(chan error, 1)
+	a.execHook = func(ctx context.Context, sp Spec) (*core.Metrics, error) {
+		<-ctx.Done()
+		_, err := a.Cancel(<-ids)
+		cancelErr <- err
+		return nil, &core.Interrupted{Snapshot: &sched.Snapshot{}}
+	}
+	info, err := a.Submit(tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids <- info.ID
+	for {
+		if st, _ := a.Get(info.ID); st.State == StateRunning {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	if err := a.Drain(ctx); err != nil {
+		t.Fatalf("Drain A: %v", err)
+	}
+	if err := <-cancelErr; err != nil {
+		t.Fatalf("Cancel during the park: %v", err)
+	}
+	final, _ := a.Get(info.ID)
+	if final.State != StateCancelled || final.Error != errCancelled.Error() {
+		t.Fatalf("state = %s (%s), want cancelled by the client", final.State, final.Error)
+	}
+	if fileExists(filepath.Join(dir, info.ID+".snapshot.json")) {
+		t.Fatal("cancelled run's park snapshot left behind")
+	}
+	b := newTestServer(t, Config{Workers: 1, DataDir: dir})
+	if got := b.scope.Counter("power_readopted").Value(); got != 0 {
+		t.Fatalf("power_readopted = %d, want 0", got)
+	}
+	if _, ok := b.Get(info.ID); ok {
+		t.Fatalf("successor re-adopted cancelled run %s", info.ID)
 	}
 }

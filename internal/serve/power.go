@@ -6,7 +6,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -115,28 +114,11 @@ func (g *workGate) close() {
 	g.cond.Broadcast()
 }
 
-// Parked-run durability: park writes every parked run's record to
-// <data>/parked/<id>.json, and a mid-run park's snapshot to
-// <data>/<id>.snapshot.json, so a crashed, drained or restarted zccd
-// re-adopts the run and still completes it when the window opens.
+// The power schedule's epoch file, <data>/power.json.
 const (
-	parkedFileKind    = "zccd-parked-run"
-	parkedFileVersion = 1
 	powerEpochKind    = "zccd-power-epoch"
 	powerEpochVersion = 1
 )
-
-// parkedRecord is the durable form of a parked run.
-type parkedRecord struct {
-	ID        string    `json:"id"`
-	Spec      Spec      `json:"spec"`
-	Submitted time.Time `json:"submitted"`
-	// Deadline is the wall instant the run expires (zero = none).
-	Deadline time.Time `json:"deadline"`
-	// Snapshot is the mid-run checkpoint to resume from (empty = the
-	// run never started; it re-runs from the spec).
-	Snapshot string `json:"snapshot,omitempty"`
-}
 
 // powerEpochRecord pins the power schedule's wall-clock origin across
 // restarts, so a re-adopted schedule stays in phase.
@@ -326,7 +308,8 @@ func (s *Server) powerAdmit(spec Spec, now time.Time) (handled bool, info RunInf
 		policy = p
 	}
 	if policy == admit.PolicyPark {
-		return true, s.parkAtAdmission(spec, now, wd), nil
+		info, err := s.parkAtAdmission(spec, now, wd)
+		return true, info, err
 	}
 	s.scope.Counter("power_admit_shed").Inc()
 	s.scope.Counter("power_shed_reason_" + metricReason(wd.Reason)).Inc()
@@ -342,30 +325,32 @@ func metricReason(reason string) string {
 }
 
 // parkAtAdmission accepts a power-infeasible submission degraded: the
-// run is registered parked-for-power (durably, with a data dir) and
+// run is admitted parked-for-power (durably, with a data dir) and
 // resubmitted by the power loop when the window opens.
-func (s *Server) parkAtAdmission(spec Spec, now time.Time, wd admit.WallDecision) RunInfo {
+func (s *Server) parkAtAdmission(spec Spec, now time.Time, wd admit.WallDecision) (RunInfo, error) {
 	r, _ := s.newRun(spec, now, false)
-	s.parkLocked(r)
-	info := r.infoLocked()
-	r.mu.Unlock()
+	info, err := s.admit(r, StateParkedPower, now)
+	if err != nil {
+		return RunInfo{}, err
+	}
 	s.scope.Counter("runs_submitted").Inc()
 	s.scope.Counter("power_admit_park").Inc()
 	r.log.Info("run parked for power", "state", string(StateParkedPower), "reason", wd.Reason,
 		"retry_in", wd.RetryAfter.String(), "spec", describeSpec(spec))
-	return info
+	return info, nil
 }
 
 // park sets an interrupted run aside until it can resume — a power-
 // guard preemption or a drain. With a data dir it saves snap to
 // <data>/<id>.snapshot.json, in the envelope `zccsim -restore` reads;
 // without one, or when the save fails, the snapshot stays in memory and
-// the park does not outlive the process. It commits the trace prefix,
-// then parkLocked records the park. The writes happen before r.mu is
-// taken: a long run's snapshot takes a good part of a second to save,
-// and /status and the power tick read every run's state. It returns
-// the run's checkpoint path.
-func (s *Server) park(r *run, snap *sched.Snapshot, sink *tracebin.File, tracePath string) string {
+// the park does not outlive the process. The save and the trace-prefix
+// commit happen before r.mu is taken (a long run's snapshot takes a good
+// part of a second; /status and the power tick read every run's state);
+// then the park is journaled with the checkpoint a restart resumes from.
+// A client cancel that arrived meanwhile ends the run cancelled instead
+// (parked false). It returns the run's checkpoint path.
+func (s *Server) park(r *run, snap *sched.Snapshot, sink *tracebin.File, tracePath string) (checkpoint string, parked bool) {
 	saved := ""
 	if snap != nil && s.cfg.DataDir != "" {
 		path := filepath.Join(s.cfg.DataDir, r.id+".snapshot.json")
@@ -392,100 +377,41 @@ func (s *Server) park(r *run, snap *sched.Snapshot, sink *tracebin.File, tracePa
 	if sink != nil && traceErr == nil {
 		r.trace = tracePath
 	}
-	s.parkLocked(r)
-	return r.checkpoint
-}
-
-// parkLocked records a park — the one step an admission park (no
-// snapshot, no trace) shares with park: with a data dir it writes the
-// parked record <data>/parked/<id>.json that a restarted server
-// re-adopts (a failed save only costs the restart), then journals
-// parked-for-power; r.mu held.
-func (s *Server) parkLocked(r *run) {
-	if s.cfg.DataDir != "" {
-		rec := parkedRecord{ID: r.id, Spec: r.spec, Submitted: r.submitted, Deadline: r.deadline, Snapshot: r.checkpoint}
-		path := filepath.Join(s.cfg.DataDir, "parked", r.id+".json")
-		err := os.MkdirAll(filepath.Dir(path), 0o755)
-		if err == nil {
-			err = persist.SaveJSON(path, parkedFileKind, parkedFileVersion, rec)
-		}
-		if err != nil {
-			r.log.Error("parked record save failed", "err", err.Error())
-		} else {
-			r.parkedPath = path
-		}
+	if r.clientCancel {
+		s.finishLocked(r, StateCancelled, errCancelled.Error(), nil, nil)
+		return "", false
 	}
 	r.transition(s, StateParkedPower, time.Now())
+	return r.checkpoint, true
 }
 
-// runSeq extracts the numeric suffix of an "r-%06d" run id.
-func runSeq(id string) (int, bool) {
-	rest, ok := strings.CutPrefix(id, "r-")
-	if !ok {
-		return 0, false
-	}
-	n, err := strconv.Atoi(rest)
-	if err != nil || n < 0 {
-		return 0, false
-	}
-	return n, true
-}
-
-// readoptParked re-adopts the parked runs a previous incarnation left
-// in <data>/parked/ — power-parked or drained to a checkpoint alike:
-// each becomes a parked run again (resuming from its snapshot when it
-// has one) and completes when the power window opens, or as soon as a
-// queue slot frees without power admission. Runs before the worker
-// pool starts.
-func (s *Server) readoptParked() {
-	if s.cfg.DataDir == "" {
-		return
-	}
-	dir := filepath.Join(s.cfg.DataDir, "parked")
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return // nothing parked
-	}
-	adopted := 0
-	for _, ent := range ents {
-		name := ent.Name()
-		// Earlier versions kept power-park snapshots in parked/ too; their
-		// records name them by full path, so they still resume.
-		if !strings.HasSuffix(name, ".json") || strings.HasSuffix(name, ".snapshot.json") {
-			continue
+// readoptRuns admits each run replayRuns found unfinished as parked-for-
+// power again, to complete when the power window opens, or as soon as a
+// queue slot frees without power admission. A run resumes from
+// <data>/<id>.snapshot.json when its last record names a checkpoint and
+// the file is still there (a run whose terminal record was lost re-runs
+// its spec). Runs before the worker pool starts.
+func (s *Server) readoptRuns(open []journalRecord) {
+	for _, rec := range open {
+		r := &run{id: rec.Run, spec: *rec.Spec, submitted: rec.Time}
+		if rec.Deadline != nil {
+			r.deadline = *rec.Deadline
 		}
-		path := filepath.Join(dir, name)
-		var rec parkedRecord
-		if err := persist.LoadJSON(path, parkedFileKind, parkedFileVersion, &rec); err != nil {
-			s.log.Error("parked record unreadable; skipping", "path", path, "err", err.Error())
-			continue
+		if rec.Checkpoint != "" {
+			path := filepath.Join(s.cfg.DataDir, r.id+".snapshot.json")
+			if _, err := os.Stat(path); err == nil {
+				r.checkpoint = path
+			}
 		}
-		if rec.ID == "" {
-			continue
-		}
-		r := &run{id: rec.ID, spec: rec.Spec, submitted: rec.Submitted, deadline: rec.Deadline,
-			checkpoint: rec.Snapshot, parkedPath: path}
 		r.log = s.log.With("run_id", r.id)
-		r.mu.Lock() // until the re-adoption is journaled
-		s.mu.Lock()
-		if _, dup := s.runs[r.id]; dup {
-			s.mu.Unlock()
-			r.mu.Unlock()
+		r.mu.Lock()
+		if _, err := s.admit(r, StateParkedPower, time.Now()); err != nil {
 			continue
 		}
-		s.runs[r.id] = r
-		s.order = append(s.order, r.id)
-		if n, ok := runSeq(r.id); ok && n > s.nextID {
-			s.nextID = n
-		}
-		s.mu.Unlock()
-		r.transition(s, StateParkedPower, time.Now())
-		r.mu.Unlock()
-		adopted++
 		s.scope.Counter("power_readopted").Inc()
-		r.log.Info("parked run re-adopted", "state", string(StateParkedPower), "snapshot", rec.Snapshot)
+		r.log.Info("parked run re-adopted", "state", string(StateParkedPower), "snapshot", r.checkpoint)
 	}
-	if adopted > 0 && !s.power.Enabled() {
+	if !s.power.Enabled() {
 		// No power loop will resubmit them: queue what fits now; each
 		// worker queues more as it frees a slot.
 		s.resubmitParked()
@@ -513,18 +439,10 @@ func (s *Server) takeResume(r *run) (*sched.Snapshot, error) {
 	return &out, nil
 }
 
-// removeQuiet deletes a best-effort artifact; a failure is harmless
-// (re-adoption of a terminal run is caught by the duplicate-id check).
-func removeQuiet(path string) {
-	if path != "" {
-		os.Remove(path)
-	}
-}
-
 // powerStatusFor assembles the /status power block from the live
 // envelope state and the counter snapshot. nil when power admission is
 // off.
-func (s *Server) powerStatusFor(ms obs.Snapshot, parked int) *obs.PowerStatus {
+func (s *Server) powerStatusFor(ms obs.Snapshot) *obs.PowerStatus {
 	if !s.power.Enabled() {
 		return nil
 	}
@@ -534,7 +452,7 @@ func (s *Server) powerStatusFor(ms obs.Snapshot, parked int) *obs.PowerStatus {
 		WindowOpen:  pst.Open,
 		Frac:        pst.Frac,
 		WorkerLimit: s.power.Limit(s.cfg.Workers, pst),
-		Parked:      parked,
+		Parked:      int(s.parked.Load()),
 		Exhausted:   pst.Exhausted,
 		Admitted:    ms.Counter("serve.power_admit_ok"),
 		Shed:        ms.Counter("serve.power_admit_shed"),

@@ -247,9 +247,11 @@ func TestPowerParkSurvivesKill(t *testing.T) {
 	if info.State != StateParkedPower {
 		t.Fatalf("state = %s, want %s", info.State, StateParkedPower)
 	}
-	parkedFile := filepath.Join(dir, "parked", info.ID+".json")
-	if !fileExists(parkedFile) {
-		t.Fatalf("parked record %s not persisted", parkedFile)
+	if fileExists(filepath.Join(dir, "parked")) {
+		t.Fatal("park created a parked/ directory")
+	}
+	if rec := replayedRun(t, dir, info.ID); rec.State != StateParkedPower || rec.Spec == nil || *rec.Spec != sp.withDefaults() {
+		t.Fatalf("journal replays %s as %s with spec %+v; want parked-for-power with %+v", info.ID, rec.State, rec.Spec, sp.withDefaults())
 	}
 	a.Kill()
 
@@ -267,8 +269,8 @@ func TestPowerParkSurvivesKill(t *testing.T) {
 	if final.State != StateDone {
 		t.Fatalf("state = %s (%s), want done", final.State, final.Error)
 	}
-	if fileExists(parkedFile) {
-		t.Fatalf("parked record %s not cleaned up after completion", parkedFile)
+	if open, _, err := replayRuns(filepath.Join(dir, "runs.jsonl")); err != nil || len(open) != 0 {
+		t.Fatalf("journal still replays %d unfinished runs (%v) after completion", len(open), err)
 	}
 }
 

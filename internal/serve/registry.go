@@ -27,9 +27,10 @@ import (
 //	  starting above max(epoch) fences every pre-crash token.
 //
 // Registration and epoch records are written through the same breaker
-// sink as the run journal but are mandatory — a submission whose
-// registration cannot be journaled fails, because an unjournaled sweep
-// would silently evaporate on restart.
+// sink as the run journal and, like a run's admission record, are
+// mandatory — a submission whose registration cannot be journaled
+// fails, because an unjournaled sweep would silently evaporate on
+// restart.
 
 // registryRecord is one registry.jsonl line.
 type registryRecord struct {
@@ -59,9 +60,10 @@ type registryReplay struct {
 	nextSeq int
 }
 
-// sweepSeq extracts the numeric suffix of an "s-%06d" sweep id.
-func sweepSeq(id string) (int, bool) {
-	rest, ok := strings.CutPrefix(id, "s-")
+// idSeq extracts the numeric suffix of an id made of prefix and a
+// number: "r-%06d" run ids, "s-%06d" sweep ids.
+func idSeq(id, prefix string) (int, bool) {
+	rest, ok := strings.CutPrefix(id, prefix)
 	if !ok {
 		return 0, false
 	}
@@ -95,7 +97,7 @@ func replayRegistry(path string) (registryReplay, error) {
 					rp.epoch = r.Epoch
 				}
 			}
-			if n, ok := sweepSeq(r.ID); ok && n > rp.nextSeq {
+			if n, ok := idSeq(r.ID, "s-"); ok && n > rp.nextSeq {
 				rp.nextSeq = n
 			}
 			return nil

@@ -17,8 +17,10 @@ import (
 // up never runs at all). The one loop is parking: running →
 // parked-for-power → queued may cycle as power windows close and
 // reopen, until the run reaches a terminal state. A drain settles a
-// parked run as checkpointed; a successor server on the same data dir
-// re-adopts it as parked-for-power.
+// parked run as checkpointed. Every state is journaled to runs.jsonl,
+// and a successor server on the same data dir re-adopts, as
+// parked-for-power, every run whose last record is not done, failed or
+// cancelled.
 type State string
 
 // Run states. Every accepted run ends in exactly one terminal state —
@@ -103,16 +105,15 @@ type run struct {
 	// workload.
 	checkpoint string
 	resumeSnap *sched.Snapshot
-	// parkedPath is the durable parked record; removed with the
-	// checkpoint once terminal (except checkpointed, which a successor
-	// server re-adopts).
-	parkedPath string
 	metrics    *core.Metrics
 	table      *experiments.Table
 	// cancel interrupts the run's context with a cause that tells the
 	// worker whether to checkpoint (drain) or discard (client cancel);
 	// nil until the run starts.
 	cancel context.CancelCauseFunc
+	// clientCancel records a client's cancel of a running run, which
+	// park honours when the guard or a drain already cancelled ctx.
+	clientCancel bool
 }
 
 // info snapshots the run for the API.
@@ -134,27 +135,37 @@ func (r *run) infoLocked() RunInfo {
 		Submitted:  r.submitted,
 		Metrics:    r.metrics,
 		Table:      r.table,
-	}
-	if !r.started.IsZero() {
-		t := r.started
-		ri.Started = &t
-	}
-	if !r.finished.IsZero() {
-		t := r.finished
-		ri.Finished = &t
-	}
-	if !r.deadline.IsZero() {
-		t := r.deadline
-		ri.Deadline = &t
+		Started:    timeRef(r.started),
+		Finished:   timeRef(r.finished),
+		Deadline:   timeRef(r.deadline),
 	}
 	return ri
+}
+
+// timeRef returns &t, or nil for the zero time (omitted from JSON).
+func timeRef(t time.Time) *time.Time {
+	if t.IsZero() {
+		return nil
+	}
+	return &t
 }
 
 // transition moves the run to st and journals the change; r.mu held.
 // It is the one place a run's state changes, so the journal's order is
 // the order in which clients can observe the states, and s.parked
-// counts the parked runs exactly.
-func (r *run) transition(s *Server, st State, now time.Time) {
+// counts the parked runs exactly. A run's first record carries the spec
+// and deadline a restart re-adopts it from; if it cannot be journaled
+// the run keeps no state and the error is returned. A later record that
+// fails is dropped (counted).
+func (r *run) transition(s *Server, st State, now time.Time) error {
+	rec := journalRecord{Time: now, Run: r.id, Name: r.spec.Name, State: st, Error: r.err, Checkpoint: r.checkpoint}
+	first := r.state == ""
+	if first {
+		rec.Spec, rec.Deadline = &r.spec, timeRef(r.deadline)
+	}
+	if err := s.journal.append(rec, r.id, string(st)); err != nil && first {
+		return err
+	}
 	if r.state == StateParkedPower {
 		s.parked.Add(-1)
 	}
@@ -162,13 +173,12 @@ func (r *run) transition(s *Server, st State, now time.Time) {
 		s.parked.Add(1)
 	}
 	r.state = st
-	s.journal.append(journalRecord{Time: now, Run: r.id, Name: r.spec.Name, State: st, Error: r.err, Checkpoint: r.checkpoint},
-		r.id, string(st))
+	return nil
 }
 
 // start transitions queued → running and installs the cancel hook. It
-// reports false when the run was already cancelled while queued — the
-// worker must then skip it without executing anything.
+// reports false when the run was cancelled while queued or refused at
+// admission — the worker must then skip it without executing anything.
 func (r *run) start(s *Server, now time.Time, cancel context.CancelCauseFunc) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()

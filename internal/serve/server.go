@@ -8,10 +8,11 @@
 // A run waits for a later resume through one park operation, whatever
 // set it aside: an infeasible power admission, the power guard before
 // a window closes, or a drain. A park writes the snapshot to
-// <data>/<id>.snapshot.json and the parked record to
-// <data>/parked/<id>.json; a server starting on the data dir re-adopts
-// every parked record, so a drained run resumes after a restart exactly
-// as a power-parked one does.
+// <data>/<id>.snapshot.json and journals the park. <data>/runs.jsonl is
+// the one durable record of every run: a server starting on the data
+// dir replays it and re-adopts every run not done, failed or cancelled,
+// so a run queued, running, parked or drained when the previous process
+// stopped resumes exactly as a power-parked one does.
 //
 // Design rules, in order:
 //
@@ -24,9 +25,11 @@
 //     parked as a resumable snapshot.
 //   - Every state change goes through run.transition under the run's
 //     lock, so the journal's order is the order clients observe.
-//   - The run journal is an audit trail behind a circuit breaker, not a
-//     lock on progress: a sick disk drops journal lines (counted), it
-//     does not stall simulations.
+//   - A run is durable before it is observable: a submission whose
+//     first journal record cannot be written is refused (HTTP 503).
+//     Later records that fail behind the journal's breaker are dropped
+//     (counted), never stalling simulations; a run whose terminal
+//     record was lost re-executes after a restart (at least once).
 package serve
 
 import (
@@ -59,6 +62,9 @@ var (
 	ErrDraining  = errors.New("serve: server is draining")
 	ErrNotFound  = errors.New("serve: no such run")
 	ErrTerminal  = errors.New("serve: run already in a terminal state")
+	// ErrJournalUnavailable refuses a run whose first journal record
+	// could not be written (HTTP 503): a restart could not re-adopt it.
+	ErrJournalUnavailable = errors.New("serve: run journal unavailable")
 )
 
 // Cancellation causes: the worker reads the context cause to decide
@@ -67,6 +73,7 @@ var (
 	errCancelled       = errors.New("cancelled by client")
 	errDrainCheckpoint = errors.New("server draining")
 	errRunDeadline     = errors.New("run deadline exceeded")
+	errKilled          = errors.New("server killed")
 )
 
 // snapshotFileKind matches the envelope kind zccsim writes, so a
@@ -90,10 +97,10 @@ type Config struct {
 	// timeout_seconds may tighten but never exceed it. Zero means ten
 	// minutes; negative means no deadline.
 	RunTimeout time.Duration
-	// DataDir, when set, holds the runs.jsonl journal and parked runs
-	// (snapshots and parked records), which a server started on the
-	// same dir re-adopts. Empty disables persistence (checkpoint-less
-	// drain cancels in-flight runs instead).
+	// DataDir, when set, holds the runs.jsonl journal and the parked
+	// runs' snapshots; a server started on the same dir replays the
+	// journal and re-adopts every unfinished run. Empty disables
+	// persistence (checkpoint-less drain cancels in-flight runs instead).
 	DataDir string
 	// Log receives structured operational log lines; nil discards them
 	// at zero cost. Every line about a specific run carries its run_id.
@@ -162,14 +169,12 @@ type Server struct {
 
 	wg      sync.WaitGroup
 	journal *journalSink
-	jfile   *persist.Journal
 
 	// Sweep registry journal (<data>/sweeps/registry.jsonl): sweep
 	// registrations, done/dropped markers, and token epochs — what a
 	// restart replays to re-adopt open sweeps with pre-crash leases
 	// fenced.
 	registry *journalSink
-	regFile  *persist.Journal
 
 	// Distributed-sweep control plane: the lease/registry controller,
 	// its reap loop, and the open sweep journals.
@@ -260,15 +265,21 @@ func New(cfg Config) (*Server, error) {
 	fc.Metrics = reg
 	var app, regApp appender
 	var reopen []registryRecord
+	var readopt []journalRecord
 	if cfg.DataDir != "" {
 		if err := os.MkdirAll(filepath.Join(cfg.DataDir, "sweeps"), 0o755); err != nil {
 			return nil, fmt.Errorf("serve: data dir: %w", err)
 		}
-		j, err := persist.OpenJournal(filepath.Join(cfg.DataDir, "runs.jsonl"))
+		runsPath := filepath.Join(cfg.DataDir, "runs.jsonl")
+		var err error
+		readopt, s.nextID, err = replayRuns(runsPath)
+		if err != nil {
+			return nil, err
+		}
+		j, err := persist.OpenJournal(runsPath)
 		if err != nil {
 			return nil, fmt.Errorf("serve: opening run journal: %w", err)
 		}
-		s.jfile = j
 		app = j
 		// Replay the sweep registry before the fleet controller exists:
 		// the replayed epoch becomes the controller's token floor, so
@@ -282,7 +293,6 @@ func New(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, fmt.Errorf("serve: opening sweep registry: %w", err)
 		}
-		s.regFile = rj
 		regApp = rj
 		s.nextSweep = rp.nextSeq
 		reopen = rp.open
@@ -295,12 +305,12 @@ func New(cfg Config) (*Server, error) {
 	s.readoptSweeps(reopen)
 	// Power admission boots before the workers: the gate must reflect
 	// the envelope (a server starting into a closed window launches
-	// nothing) and parked runs must be re-adopted before anything can
-	// collide with their ids.
+	// nothing) and unfinished runs must be re-adopted before a worker
+	// can start anything.
 	if err := s.initPower(); err != nil {
 		return nil, err
 	}
-	s.readoptParked()
+	s.readoptRuns(readopt)
 	s.ts = obs.NewTimeSeries(cfg.SampleInterval, cfg.SampleWindow, s.sampleTelemetry)
 	s.ts.Start()
 	for i := 0; i < cfg.Workers; i++ {
@@ -337,8 +347,9 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 func (s *Server) JournalDropped() int64 { return s.journal.droppedCount() }
 
 // Submit validates and enqueues a spec. A draining server refuses with
-// ErrDraining; a full queue sheds with ErrQueueFull — the run is not
-// registered, so a shed submission leaves no trace beyond a counter.
+// ErrDraining; a full queue sheds with ErrQueueFull and a journal that
+// cannot record the run refuses it with ErrJournalUnavailable — neither
+// registers the run, so it leaves no trace beyond a counter.
 func (s *Server) Submit(spec Spec) (RunInfo, error) {
 	admitStart := time.Now()
 	if err := spec.Validate(); err != nil {
@@ -366,9 +377,10 @@ func (s *Server) Submit(spec Spec) (RunInfo, error) {
 		r.log.Warn("run shed", "state", "shed", "queue_depth", s.cfg.QueueDepth)
 		return RunInfo{}, ErrQueueFull
 	}
-	r.transition(s, StateQueued, time.Now())
-	info := r.infoLocked()
-	r.mu.Unlock()
+	info, err := s.admit(r, StateQueued, r.submitted)
+	if err != nil {
+		return RunInfo{}, err
+	}
 	s.scope.Counter("runs_submitted").Inc()
 	s.scope.Gauge("queue_high_water").SetMax(float64(len(s.queue)))
 	admissionWait := time.Since(admitStart).Seconds()
@@ -378,12 +390,11 @@ func (s *Server) Submit(spec Spec) (RunInfo, error) {
 	return info, nil
 }
 
-// newRun builds a run of spec submitted at now, gives it the next run
-// id and registers it. With enqueue it is sent to the admission queue
-// first, and a full queue leaves it unregistered (ok false: shed, its
-// id spent). A registered run is returned with r.mu held and no state
-// yet: the caller journals its first state before unlocking, so no
-// worker or Cancel record can precede it.
+// newRun builds a run of spec submitted at now and gives it the next
+// run id. With enqueue it is sent to the admission queue, and a full
+// queue sheds it (ok false, its id spent). Otherwise the run is
+// returned with r.mu held and no state yet: the caller admits it before
+// unlocking, so no worker or Cancel record can precede its first.
 func (s *Server) newRun(spec Spec, now time.Time, enqueue bool) (r *run, ok bool) {
 	r = &run{spec: spec, submitted: now}
 	if d := time.Duration(spec.DeadlineSeconds * float64(time.Second)); d > 0 {
@@ -403,9 +414,26 @@ func (s *Server) newRun(spec Spec, now time.Time, enqueue bool) (r *run, ok bool
 			return r, false
 		}
 	}
+	return r, true
+}
+
+// admit journals a new or re-adopted run's first record of this process
+// (queued or parked-for-power), registers the run and releases r.mu,
+// held on entry. A run whose record cannot be journaled is refused with
+// ErrJournalUnavailable, unregistered and stateless: a worker that
+// dequeues it skips it, and a restart retries a refused re-adoption.
+func (s *Server) admit(r *run, st State, now time.Time) (RunInfo, error) {
+	defer r.mu.Unlock()
+	if err := r.transition(s, st, now); err != nil {
+		s.scope.Counter("runs_refused").Inc()
+		r.log.Warn("run refused", "state", "refused", "err", err.Error())
+		return RunInfo{}, fmt.Errorf("%w: %v", ErrJournalUnavailable, err)
+	}
+	s.mu.Lock()
 	s.runs[r.id] = r
 	s.order = append(s.order, r.id)
-	return r, true
+	s.mu.Unlock()
+	return r.infoLocked(), nil
 }
 
 // Get returns a run's current view.
@@ -464,6 +492,7 @@ func (s *Server) Cancel(id string) (RunInfo, error) {
 		if r.interruptedAt.IsZero() {
 			r.interruptedAt = time.Now()
 		}
+		r.clientCancel = true
 		r.cancel(errCancelled)
 		r.mu.Unlock()
 	}
@@ -498,13 +527,14 @@ func (s *Server) worker() {
 
 // settleDrained settles a run the drain overtook — queued, parked, or
 // parked by the drain's own interrupt. One with a durable park snapshot
-// becomes checkpointed and keeps its parked record on disk, so a
-// successor server re-adopts it; any other is cancelled with why.
+// becomes checkpointed and keeps its snapshot on disk, so a successor
+// server re-adopts it; any other is cancelled with why. A run refused at
+// admission has no state and is left alone.
 func (s *Server) settleDrained(r *run, why string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	switch {
-	case r.state.Terminal():
+	case r.state == "", r.state.Terminal():
 	case r.checkpoint != "":
 		s.finishLocked(r, StateCheckpointed, "", nil, nil)
 	default:
@@ -537,7 +567,7 @@ func (s *Server) execute(r *run) {
 	}
 
 	if !r.start(s, time.Now(), cancel) {
-		return // cancelled while queued
+		return // cancelled while queued, or refused at admission
 	}
 	queueWait := r.started.Sub(r.submitted).Seconds()
 	s.scope.Histogram("queue_wait_seconds", 0, queueHistHi, lifecycleBuck).Observe(queueWait)
@@ -600,7 +630,7 @@ func (s *Server) execute(r *run) {
 	}
 	var intr *core.Interrupted
 	if errors.As(err, &intr) {
-		s.settleInterrupted(ctx, r, intr, sink, tracePath)
+		s.settleInterrupted(ctx, r, intr.Snapshot, sink, tracePath)
 		return
 	}
 	s.finish(r, StateFailed, err.Error(), nil, nil)
@@ -665,14 +695,22 @@ func commitTrace(sink *tracebin.File) error {
 // from the context cause: a deadline fails it, a client cancel discards
 // it, and a power-guard preemption or a drain parks it. The drain then
 // settles the parked run at once: checkpointed when its snapshot is on
-// disk, cancelled otherwise.
-func (s *Server) settleInterrupted(ctx context.Context, r *run, intr *core.Interrupted, sink *tracebin.File, tracePath string) {
+// disk, cancelled otherwise. A drained experiment, which has no single
+// resumable snapshot, is cancelled. A kill leaves the run as a crash
+// would.
+func (s *Server) settleInterrupted(ctx context.Context, r *run, snap *sched.Snapshot, sink *tracebin.File, tracePath string) {
 	cause := context.Cause(ctx)
 	switch {
+	case errors.Is(cause, errKilled):
 	case errors.Is(cause, errRunDeadline):
 		s.finish(r, StateFailed, errRunDeadline.Error(), nil, nil)
+	case errors.Is(cause, errDrainCheckpoint) && r.spec.Experiment != "":
+		s.finish(r, StateCancelled, "cancelled: server draining", nil, nil)
 	case errors.Is(cause, errPowerPark), errors.Is(cause, errDrainCheckpoint):
-		checkpoint := s.park(r, intr.Snapshot, sink, tracePath)
+		checkpoint, parked := s.park(r, snap, sink, tracePath)
+		if !parked {
+			return
+		}
 		if errors.Is(cause, errDrainCheckpoint) {
 			s.settleDrained(r, "cancelled: server draining (no data dir to checkpoint into)")
 			return
@@ -709,15 +747,7 @@ func (s *Server) executeExperiment(ctx context.Context, r *run) {
 		return
 	}
 	if ctx.Err() != nil {
-		cause := context.Cause(ctx)
-		switch {
-		case errors.Is(cause, errRunDeadline):
-			s.finish(r, StateFailed, errRunDeadline.Error(), nil, nil)
-		case errors.Is(cause, errDrainCheckpoint):
-			s.finish(r, StateCancelled, "cancelled: server draining", nil, nil)
-		default:
-			s.finish(r, StateCancelled, errCancelled.Error(), nil, nil)
-		}
+		s.settleInterrupted(ctx, r, nil, nil, "")
 		return
 	}
 	s.finish(r, StateFailed, err.Error(), nil, nil)
@@ -732,17 +762,16 @@ func (s *Server) finish(r *run, st State, errMsg string, m *core.Metrics, tbl *e
 	}
 }
 
-// finishLocked removes the run's park artifacts — except for
-// checkpointed, whose parked record and snapshot a successor server
-// re-adopts — then moves it to a terminal state, accounts and logs it;
-// r.mu held. A client that observes the terminal state thus finds it
-// journaled and the artifacts gone.
+// finishLocked removes the run's park snapshot — except for
+// checkpointed, whose snapshot a successor server resumes — then moves
+// it to a terminal state, accounts and logs it; r.mu held. A client
+// that observes the terminal state thus finds it journaled and the
+// snapshot gone. A failed removal only leaves a file behind.
 func (s *Server) finishLocked(r *run, st State, errMsg string, m *core.Metrics, tbl *experiments.Table) {
 	r.err, r.metrics, r.table, r.finished = errMsg, m, tbl, time.Now()
-	if st != StateCheckpointed {
-		removeQuiet(r.parkedPath)
-		removeQuiet(r.checkpoint)
-		r.parkedPath, r.checkpoint = "", ""
+	if st != StateCheckpointed && r.checkpoint != "" {
+		os.Remove(r.checkpoint)
+		r.checkpoint = ""
 	}
 	r.transition(s, st, r.finished)
 	outcome := outcomeOf(st, errMsg)
@@ -867,34 +896,32 @@ func (s *Server) drain(ctx context.Context) error {
 	if err := s.closeSweepJournals(); err != nil {
 		return fmt.Errorf("serve: closing sweep journals: %w", err)
 	}
-	if s.regFile != nil {
-		if err := s.regFile.Close(); err != nil {
-			return fmt.Errorf("serve: closing sweep registry: %w", err)
-		}
+	if err := s.registry.close(); err != nil {
+		return fmt.Errorf("serve: closing sweep registry: %w", err)
 	}
-	if s.jfile != nil {
-		if err := s.jfile.Close(); err != nil {
-			return fmt.Errorf("serve: closing run journal: %w", err)
-		}
+	if err := s.journal.close(); err != nil {
+		return fmt.Errorf("serve: closing run journal: %w", err)
 	}
 	s.log.Info("drained: all runs terminal")
 	return nil
 }
 
 // Kill stops the server abruptly, simulating a crash for restart
-// tests: background loops stop and journal files close with none of
-// drain's graceful bookkeeping — no released leases, no done markers,
-// no terminal records. The on-disk journals are left exactly as a
-// SIGKILL would leave them, so a successor Server on the same data dir
-// exercises the real recovery path. Kill poisons Drain (and vice
-// versa): whichever runs first wins.
+// tests: the run journal closes first, running runs are interrupted and
+// left as they were, and background loops stop with none of drain's
+// bookkeeping (no released leases, done markers or terminal records).
+// A successor Server on the same data dir thus exercises the real
+// recovery path. Kill poisons Drain (and vice versa): whichever runs
+// first wins.
 func (s *Server) Kill() {
 	s.drainOnce.Do(func() {
 		s.admitMu.Lock()
+		s.journal.close()
 		s.draining.Store(true)
 		close(s.queue)
 		s.admitMu.Unlock()
 		s.gate.close()
+		s.interruptRunning(errKilled)
 		s.ts.Stop()
 		close(s.powerStop)
 		s.powerWG.Wait()
@@ -902,12 +929,7 @@ func (s *Server) Kill() {
 		s.fleetWG.Wait()
 		s.wg.Wait()
 		s.closeSweepJournals()
-		if s.regFile != nil {
-			s.regFile.Close()
-		}
-		if s.jfile != nil {
-			s.jfile.Close()
-		}
+		s.registry.close()
 		s.drainErr = errors.New("serve: server was killed")
 	})
 }
@@ -939,19 +961,16 @@ func (s *Server) Status() obs.ServeStatus {
 		Workers:  s.cfg.Workers,
 		Draining: s.draining.Load(),
 	}
-	parked := 0
 	for _, r := range s.snapshotRuns() {
 		switch r.currentState() {
 		case StateQueued:
 			st.Queued++
 		case StateRunning:
 			st.Running++
-		case StateParkedPower:
-			parked++
 		}
 	}
 	ms := s.reg.Snapshot()
-	st.Power = s.powerStatusFor(ms, parked)
+	st.Power = s.powerStatusFor(ms)
 	st.Submitted = ms.Counter("serve.runs_submitted")
 	st.Completed = ms.Counter("serve.runs_done")
 	st.Failed = ms.Counter("serve.runs_failed")

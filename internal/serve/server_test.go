@@ -425,17 +425,38 @@ func TestExperimentSpecRuns(t *testing.T) {
 
 func TestJournalSicknessDoesNotFailRuns(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
-	// Swap in an appender that always fails: every record is dropped,
-	// but runs must still reach done. The swap takes the sink's lock —
-	// the telemetry sampler is already reading the sink.
+	// The run is admitted while the journal is healthy and held in its
+	// worker until the journal has gone sick.
+	sick := make(chan struct{})
+	s.execHook = func(ctx context.Context, sp Spec) (*core.Metrics, error) {
+		<-sick
+		cfg, err := sp.runConfig(obs.Options{})
+		if err != nil {
+			return nil, err
+		}
+		return core.RunContext(ctx, cfg)
+	}
+	info, err := s.Submit(tinySpec())
+	if err != nil {
+		t.Fatalf("Submit with healthy journal: %v", err)
+	}
+	// Swap in an appender that always fails: every later record is
+	// dropped, but the admitted run must still reach done. The swap
+	// takes the sink's lock — the telemetry sampler is already reading
+	// the sink.
 	s.journal.mu.Lock()
 	s.journal.app = &brokenAppender{}
 	s.journal.retry.Sleep = func(time.Duration) {}
 	s.journal.mu.Unlock()
+	close(sick)
 
-	info, err := s.Submit(tinySpec())
-	if err != nil {
-		t.Fatalf("Submit with sick journal: %v", err)
+	// A submission the journal cannot record is refused and leaves no
+	// run behind: a restart could not re-adopt it.
+	if _, err := s.Submit(tinySpec()); !errors.Is(err, ErrJournalUnavailable) {
+		t.Fatalf("Submit with sick journal = %v, want ErrJournalUnavailable", err)
+	}
+	if runs := s.List(); len(runs) != 1 || runs[0].ID != info.ID {
+		t.Fatalf("registered runs = %+v, want only %s", runs, info.ID)
 	}
 	final := waitTerminal(t, s, info.ID)
 	if final.State != StateDone {

@@ -10,7 +10,10 @@
 #   - checkpointed runs left resumable snapshot files behind;
 #   - a daemon restarted on the same data dir re-adopts exactly the
 #     runs whose last journal state is checkpointed (/metrics), and
-#     after a second SIGTERM every accepted run is terminal again.
+#     after a second SIGTERM every accepted run is terminal again;
+#   - runs queued or running when a daemon is SIGKILLed (a long run
+#     and two queued behind it, on a fresh data dir) are re-adopted from
+#     runs.jsonl by a daemon restarted on that dir and all reach done.
 #
 # Agent mode:  scripts/soak.sh agents
 #   Distributed-sweep chaos: start zccd with short fleet TTLs, spawn
@@ -343,10 +346,20 @@ if [ "$mode" = "power" ]; then
 		exit 1
 		;;
 	esac
-	[ -f "$tmpdir/data/parked/$pid.json" ] || {
-		echo "no durable parked record for $pid" >&2
+	# runs.jsonl is the durable record: the run's last line is the park,
+	# and it carries the spec a restart re-adopts the run from.
+	[ ! -d "$tmpdir/data/parked" ] || {
+		echo "the park created a parked/ directory" >&2
 		exit 1
 	}
+	rec=$(grep "\"run\":\"$pid\"" "$tmpdir/data/runs.jsonl" | tail -n 1)
+	case $rec in
+	*'"state":"parked-for-power"'*'"spec":{'*) ;;
+	*)
+		echo "no durable parked record for $pid in runs.jsonl: $rec" >&2
+		exit 1
+		;;
+	esac
 
 	echo "== SIGKILL zccd with the run parked and the window still closed"
 	kill -9 "$daemonpid"
@@ -723,4 +736,82 @@ if [ "$rc" -ne 0 ]; then
 fi
 check_terminal
 echo "re-adopted $readopted checkpointed runs; all accepted runs terminal again"
+
+echo "== SIGKILL with runs queued and running: a restart completes them"
+# One worker: the ~4 s run is running at the kill, the short ones queued.
+killdata="$tmpdir/killdata"
+"$tmpdir/zccd" -addr 127.0.0.1:0 -workers 1 -data "$killdata" 2>"$tmpdir/zccd3.err" &
+daemonpid=$!
+addr=$(wait_addr "$tmpdir/zccd3.err" "$daemonpid")
+: >"$tmpdir/killed"
+for body in '{"days": 3650, "mira_nodes": 4096, "scale": 3.3}' \
+	'{"days": 2, "mira_nodes": 4096}' '{"days": 3, "mira_nodes": 4096, "zc_factor": 1}'; do
+	code=$(curl -s -o "$tmpdir/kill.json" -w '%{http_code}' -XPOST "http://$addr/v1/runs" -d "$body")
+	if [ "$code" != "202" ]; then
+		echo "submit = $code, want 202: $(cat "$tmpdir/kill.json")" >&2
+		exit 1
+	fi
+	sed -n 's/.*"id": *"\([^"]*\)".*/\1/p' "$tmpdir/kill.json" | head -n 1 >>"$tmpdir/killed"
+done
+longid=$(head -n 1 "$tmpdir/killed")
+started=0
+for _ in $(seq 1 200); do
+	case $(flatjson "http://$addr/v1/runs/$longid") in
+	*'"state":"running"'*)
+		started=1
+		break
+		;;
+	esac
+	sleep 0.02
+done
+[ "$started" -eq 1 ] || { echo "run $longid never started" >&2; exit 1; }
+kill -9 "$daemonpid"
+wait "$daemonpid" 2>/dev/null || true
+daemonpid=""
+journal="$killdata/runs.jsonl"
+while read -r id; do
+	case $(last_state "$id") in
+	queued|running) ;;
+	*)
+		echo "run $id last journal state at SIGKILL '$(last_state "$id")', want queued or running" >&2
+		exit 1
+		;;
+	esac
+done <"$tmpdir/killed"
+"$tmpdir/zccd" -addr 127.0.0.1:0 -workers 1 -data "$killdata" 2>"$tmpdir/zccd4.err" &
+daemonpid=$!
+addr=$(wait_addr "$tmpdir/zccd4.err" "$daemonpid")
+while read -r id; do
+	rdone=0
+	for _ in $(seq 1 1200); do
+		case $(flatjson "http://$addr/v1/runs/$id") in
+		*'"state":"done"'*)
+			rdone=1
+			break
+			;;
+		esac
+		sleep 0.05
+	done
+	if [ "$rdone" -ne 1 ]; then
+		echo "run $id never reached done after the restart; last: $(flatjson "http://$addr/v1/runs/$id")" >&2
+		cat "$tmpdir/zccd4.err" >&2
+		exit 1
+	fi
+done <"$tmpdir/killed"
+readopted=$(curl -fsS "http://$addr/metrics" |
+	sed -n 's/^[a-z_]*power_readopted \([0-9][0-9]*\)$/\1/p')
+nkilled=$(wc -l <"$tmpdir/killed")
+if [ "${readopted:-0}" -ne "$nkilled" ]; then
+	echo "restarted daemon re-adopted ${readopted:-0} runs, want $nkilled" >&2
+	exit 1
+fi
+kill -TERM "$daemonpid"
+wait "$daemonpid" && rc=0 || rc=$?
+daemonpid=""
+if [ "$rc" -ne 0 ]; then
+	echo "daemon restarted after SIGKILL exited $rc, want 0; stderr:" >&2
+	cat "$tmpdir/zccd4.err" >&2
+	exit 1
+fi
+echo "$nkilled runs queued or running at SIGKILL re-adopted and done"
 echo "== ok"
