@@ -129,11 +129,14 @@ func BenchmarkSchedulerDeepQueue(b *testing.B) {
 // BenchmarkMarketDay times one day of 5-minute market clearing with 200
 // wind sites (288 dispatches).
 func BenchmarkMarketDay(b *testing.B) {
-	gen, err := NewMarketDataset(MarketConfig{Seed: 1, Days: float64(b.N), WindSites: 200})
+	gen, err := NewMarketDataset(MarketConfig{Seed: 1, Days: float64(b.N) + 1, WindSites: 200})
 	if err != nil {
 		b.Fatal(err)
 	}
-	var buf []MarketRecord
+	// One interval outside the timer sizes the record buffer and the
+	// dispatch result: clearing allocates nothing after that, and the
+	// zero allocs/op the baseline pins must not depend on b.N.
+	buf, _ := gen.Next(nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for k := 0; k < 288; k++ {
@@ -142,6 +145,19 @@ func BenchmarkMarketDay(b *testing.B) {
 			if !ok {
 				b.Fatal("dataset exhausted")
 			}
+		}
+	}
+}
+
+// BenchmarkLabMarketPass times the Lab's stranded-power market pass:
+// 14 days of 200 wind sites generated, cleared and analyzed under the
+// four paper models, per unit and per node, as Table III and Figures
+// 9-12 need it (with the generator on a second goroutine).
+func BenchmarkLabMarketPass(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		lab := NewLab(ExperimentOptions{Seed: 1, MarketDays: 14, WindSites: 200})
+		if _, err := lab.MISOSummary(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
@@ -197,7 +213,7 @@ func BenchmarkScaleWorkload(b *testing.B) {
 // BenchmarkEndToEndEventsPerSec is the perf-baseline anchor: a complete
 // month-long Mira + 1xZCCloud simulation, reported as dispatched engine
 // events per wall-clock second (the simulator's natural throughput
-// unit). cmd/zccbench records it in BENCH_PR17.json so regressions show
+// unit). cmd/zccbench records it in BENCH_PR20.json so regressions show
 // up as a ratio against a committed baseline.
 func BenchmarkEndToEndEventsPerSec(b *testing.B) {
 	tr, err := GenerateWorkload(WorkloadConfig{Seed: 1, Days: 28})

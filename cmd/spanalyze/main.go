@@ -52,20 +52,17 @@ func main() {
 		if err != nil {
 			fatal("%v", err)
 		}
-		var buf []zccloud.MarketRecord
-		for {
-			var ok bool
-			buf, ok = gen.Next(buf)
-			if !ok {
-				break
-			}
-			for _, r := range buf {
-				for _, a := range analyses {
+		if err := gen.Stream(func(batch []zccloud.MarketRecord) error {
+			for _, a := range analyses {
+				for _, r := range batch {
 					a.Observe(r)
 				}
 			}
-			observed++
+			return nil
+		}); err != nil {
+			fatal("%v", err)
 		}
+		observed = gen.Intervals()
 	} else {
 		f, err := os.Open(*input)
 		if err != nil {

@@ -48,15 +48,13 @@ func ExampleNewSPAnalysis() {
 		panic(err)
 	}
 	an := zccloud.NewSPAnalysis(zccloud.SPModel{Kind: zccloud.NetPrice, Threshold: 0}, 20)
-	var buf []zccloud.MarketRecord
-	for {
-		var ok bool
-		if buf, ok = gen.Next(buf); !ok {
-			break
-		}
-		for _, r := range buf {
+	if err := gen.Stream(func(batch []zccloud.MarketRecord) error {
+		for _, r := range batch {
 			an.Observe(r)
 		}
+		return nil
+	}); err != nil {
+		panic(err)
 	}
 	best := an.Results()[0]
 	fmt.Printf("stranded power exists: %v\n", best.DutyFactor > 0)

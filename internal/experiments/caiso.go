@@ -32,21 +32,17 @@ func CAISO(l *Lab) (*Table, error) {
 	for i, m := range stranded.PaperModels {
 		analyses[i] = stranded.NewAnalysisMin(m, opt.WindSites, minMW)
 	}
-	var buf []miso.Record
-	var observed int64
-	for {
-		var ok bool
-		buf, ok = gen.Next(buf)
-		if !ok {
-			break
-		}
-		for _, r := range buf {
-			for _, a := range analyses {
+	if err := gen.Stream(func(batch []miso.Record) error {
+		for _, a := range analyses {
+			for _, r := range batch {
 				a.Observe(r)
 			}
 		}
-		observed++
+		return nil
+	}); err != nil {
+		return nil, err
 	}
+	observed := gen.Intervals()
 
 	t := &Table{
 		ID:    "caiso",

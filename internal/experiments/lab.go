@@ -62,7 +62,9 @@ func (o Options) withDefaults() Options {
 
 // Lab memoizes the artifacts experiments share: workload traces at each
 // scale/shape and the one-pass stranded-power analysis of the market
-// dataset. A Lab is not safe for concurrent use.
+// dataset. The market pass runs its generator on a second goroutine
+// internally (miso.Generator.Stream), but a Lab is still not safe for
+// concurrent use.
 type Lab struct {
 	opt Options
 	obs obs.Options
@@ -187,35 +189,23 @@ func (l *Lab) runSPAnalysis() error {
 		unitAn[i] = stranded.NewAnalysis(m, l.opt.WindSites)
 		nodeAn[i] = stranded.NewAnalysis(m, nodes)
 	}
-	var buf []miso.Record
-	nodeDel := make([]float64, nodes)
-	nodeMax := make([]float64, nodes)
-	nodeLMP := make([]float64, nodes)
-	for {
-		var ok bool
-		buf, ok = gen.Next(buf)
-		if !ok {
-			break
-		}
-		for i := range nodeDel {
-			nodeDel[i], nodeMax[i] = 0, 0
-		}
-		var interval int64
-		for _, r := range buf {
-			for _, a := range unitAn {
+	var nodeRecs []miso.Record
+	err = gen.Stream(func(batch []miso.Record) error {
+		for _, a := range unitAn {
+			for _, r := range batch {
 				a.Observe(r)
 			}
-			n := gen.SiteNode(int(r.Site))
-			nodeDel[n] += r.DeliveredMW
-			nodeMax[n] += r.EconomicMaxMW
-			nodeLMP[n] = r.LMP
-			interval = r.Interval
 		}
-		for n := 0; n < nodes; n++ {
-			for _, a := range nodeAn {
-				a.ObserveValues(n, interval, nodeLMP[n], nodeDel[n], nodeMax[n])
+		nodeRecs = sumNodes(gen, batch, l.opt.WindSites, nodes, nodeRecs[:0])
+		for _, a := range nodeAn {
+			for _, r := range nodeRecs {
+				a.Observe(r)
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	for i, m := range stranded.PaperModels {
 		l.spResults[m] = unitAn[i].Results()
@@ -231,6 +221,28 @@ func (l *Lab) runSPAnalysis() error {
 	l.misoSum = gen.Summary()
 	l.spDone = true
 	return nil
+}
+
+// sumNodes appends to out one record per wind node for each interval of
+// batch, which holds sites records per interval: delivered and offered
+// MW summed over the node's sites in site order, and the LMP of its last
+// site (the sites of a node share its bus price).
+func sumNodes(gen *miso.Generator, batch []miso.Record, sites, nodes int, out []miso.Record) []miso.Record {
+	for len(batch) >= sites {
+		iv := batch[:sites]
+		batch = batch[sites:]
+		base := len(out)
+		for n := 0; n < nodes; n++ {
+			out = append(out, miso.Record{Interval: iv[0].Interval, Site: int32(n)})
+		}
+		for _, r := range iv {
+			nr := &out[base+gen.SiteNode(int(r.Site))]
+			nr.DeliveredMW += r.DeliveredMW
+			nr.EconomicMaxMW += r.EconomicMaxMW
+			nr.LMP = r.LMP
+		}
+	}
+	return out
 }
 
 // SPResults returns per-unit stranded-power stats for a model, ordered by

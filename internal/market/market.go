@@ -176,7 +176,7 @@ func (e *Engine) Run(loadMW []float64, genMaxMW []float64, res *Result) error {
 // residual line capacity. from is the bus we arrived from (-1 at the
 // source). Returns MW actually delivered.
 func (e *Engine) push(bus, from powergrid.BusID, budget float64, res *Result) float64 {
-	used := math.Min(budget, e.remaining[bus])
+	used := min(budget, e.remaining[bus])
 	e.remaining[bus] -= used
 	budget -= used
 	total := used
@@ -191,7 +191,7 @@ func (e *Engine) push(bus, from powergrid.BusID, budget float64, res *Result) fl
 		if r <= eps {
 			continue
 		}
-		send := math.Min(budget, r)
+		send := min(budget, r)
 		got := e.push(a.To, bus, send, res)
 		if got > 0 {
 			e.addFlow(a.Line, bus, got, res)
@@ -277,7 +277,7 @@ func (e *Engine) computeLMP(res *Result) {
 				second = e.down[c]
 			}
 		}
-		base := math.Min(e.up[v], e.local[v])
+		base := min(e.up[v], e.local[v])
 		for _, a := range e.net.Adjacency(v) {
 			c := a.To
 			if c == e.parent[v] {
@@ -299,7 +299,7 @@ func (e *Engine) computeLMP(res *Result) {
 		}
 	}
 	for v := 0; v < nb; v++ {
-		lmp := math.Min(e.down[v], e.up[v])
+		lmp := min(e.down[v], e.up[v])
 		if math.IsInf(lmp, 1) {
 			lmp = VOLL
 		}

@@ -7,6 +7,13 @@
 // (internal/powergrid), and the merit-order market (internal/market). It
 // streams interval-major batches of Records so a 28-month, 200-site
 // dataset (≈49 M wind records) never needs to be resident in memory.
+//
+// Next produces one interval at a time on the caller's goroutine.
+// Stream runs the whole dataset: a producer goroutine generates batches
+// of intervals while the caller's callback consumes the previous batch,
+// in interval order, so generation and analysis overlap on two cores
+// with the same records as a Next loop. WriteCSV and every full pass
+// over a synthetic dataset use Stream.
 package miso
 
 import (
@@ -307,8 +314,79 @@ func (g *Generator) Summary() Summary { return g.sum }
 // appending into buf (which is returned re-sliced). It returns false when
 // the dataset is exhausted.
 func (g *Generator) Next(buf []Record) ([]Record, bool) {
+	return g.appendNext(buf[:0])
+}
+
+// Stream batch shape: the producer hands over streamBatch intervals at
+// a time, and streamBuffers batch buffers circulate between it and the
+// consumer, so it runs at most streamBuffers-1 batches ahead.
+const (
+	streamBatch   = 16
+	streamBuffers = 2
+)
+
+// Stream generates the rest of the dataset and calls fn with its
+// records in interval order, one batch of up to streamBatch whole
+// intervals at a time (site order within an interval, as Next). fn runs
+// on the caller's goroutine while a producer goroutine generates the
+// next batch; fn must not keep the slice after it returns, and must not
+// call the Generator's stateful methods (Next, Stream, Summary) —
+// read Summary after Stream returns. If fn returns an error, the stream
+// stops and Stream returns that error; the generator has then run up to
+// streamBuffers-1 batches past the last one fn saw. Stream returns only
+// after the producer has stopped, also when fn panics; a panic in the
+// producer is re-raised on the caller's goroutine.
+func (g *Generator) Stream(fn func([]Record) error) error {
+	// Each channel can hold every batch buffer at once, so no send on
+	// either blocks.
+	free := make(chan []Record, streamBuffers)
+	for i := 0; i < streamBuffers; i++ {
+		free <- make([]Record, 0, streamBatch*g.cfg.WindSites)
+	}
+	full := make(chan []Record, streamBuffers)
+	stop := make(chan struct{})
+	var panicked any
+	go func() {
+		defer close(full)
+		defer func() { panicked = recover() }()
+		for more := true; more; {
+			var batch []Record
+			select {
+			case batch = <-free:
+			case <-stop:
+				return
+			}
+			batch = batch[:0]
+			for k := 0; k < streamBatch && more; k++ {
+				batch, more = g.appendNext(batch)
+			}
+			if len(batch) > 0 {
+				full <- batch
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		for range full {
+		}
+		if panicked != nil {
+			panic(panicked)
+		}
+	}()
+	for batch := range full {
+		if err := fn(batch); err != nil {
+			return err
+		}
+		free <- batch
+	}
+	return nil
+}
+
+// appendNext appends the records of the next interval to buf and
+// reports whether there was one.
+func (g *Generator) appendNext(buf []Record) ([]Record, bool) {
 	if g.interval >= g.maxIntervals {
-		return buf[:0], false
+		return buf, false
 	}
 	hrs := g.cfg.StartDay*24 + float64(g.interval)*IntervalMinutes/60
 
@@ -338,7 +416,6 @@ func (g *Generator) Next(buf []Record) ([]Record, bool) {
 		panic(fmt.Sprintf("miso: dispatch failed: %v", err))
 	}
 
-	buf = buf[:0]
 	hours := float64(IntervalMinutes) / 60
 	for site := 0; site < g.cfg.WindSites; site++ {
 		gi := g.windIdx[site]
@@ -390,35 +467,36 @@ func sqrt1ma2(a float64) float64 { return math.Sqrt(1 - a*a) }
 // csvHeader is the on-disk layout of a record stream.
 var csvHeader = []string{"interval", "site", "lmp", "delivered_mw", "economic_max_mw"}
 
-// WriteCSV streams the entire dataset of gen to w in CSV form.
+// WriteCSV streams the rest of gen's dataset to w in CSV form and
+// returns the number of rows written. A write error ends the stream.
 func WriteCSV(g *Generator, w io.Writer) (int64, error) {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	if _, err := bw.WriteString(strings.Join(csvHeader, ",") + "\n"); err != nil {
 		return 0, err
 	}
 	var rows int64
-	buf := make([]Record, 0, 512)
-	var ok bool
-	for {
-		buf, ok = g.Next(buf)
-		if !ok {
-			break
-		}
-		for _, r := range buf {
-			bw.WriteString(strconv.FormatInt(r.Interval, 10))
-			bw.WriteByte(',')
-			bw.WriteString(strconv.FormatInt(int64(r.Site), 10))
-			bw.WriteByte(',')
-			bw.WriteString(strconv.FormatFloat(r.LMP, 'f', 3, 64))
-			bw.WriteByte(',')
-			bw.WriteString(strconv.FormatFloat(r.DeliveredMW, 'f', 3, 64))
-			bw.WriteByte(',')
-			bw.WriteString(strconv.FormatFloat(r.EconomicMaxMW, 'f', 3, 64))
-			if err := bw.WriteByte('\n'); err != nil {
-				return rows, err
+	var line []byte
+	err := g.Stream(func(batch []Record) error {
+		for _, r := range batch {
+			line = strconv.AppendInt(line[:0], r.Interval, 10)
+			line = append(line, ',')
+			line = strconv.AppendInt(line, int64(r.Site), 10)
+			line = append(line, ',')
+			line = strconv.AppendFloat(line, r.LMP, 'f', 3, 64)
+			line = append(line, ',')
+			line = strconv.AppendFloat(line, r.DeliveredMW, 'f', 3, 64)
+			line = append(line, ',')
+			line = strconv.AppendFloat(line, r.EconomicMaxMW, 'f', 3, 64)
+			line = append(line, '\n')
+			if _, err := bw.Write(line); err != nil {
+				return err
 			}
 			rows++
 		}
+		return nil
+	})
+	if err != nil {
+		return rows, err
 	}
 	return rows, bw.Flush()
 }

@@ -68,6 +68,9 @@ type Field struct {
 	siteX    []float64
 	siteReg  []int
 	interval int64
+	// env is the current interval's clear-sky envelope times PeakCF,
+	// shared by every site (set by envelope).
+	env float64
 }
 
 // NewField creates a field at its stationary distribution.
@@ -90,6 +93,7 @@ func NewField(cfg FieldConfig) (*Field, error) {
 		f.siteX[s] = f.rng.NormFloat64() * siteSigma
 		f.siteReg[s] = s % cfg.Regions
 	}
+	f.envelope()
 	return f, nil
 }
 
@@ -128,6 +132,14 @@ func (f *Field) Step() {
 	stepOU(f.rng, f.regionX, regionTauHrs, regionSigma, dt)
 	stepOU(f.rng, f.siteX, siteTauHrs, siteSigma, dt)
 	f.interval++
+	f.envelope()
+}
+
+// envelope computes the clear-sky envelope of the current interval,
+// which is the same for every site.
+func (f *Field) envelope() {
+	hrs := f.cfg.StartHours + float64(f.interval)*StepMinutes/60
+	f.env = ClearSky(hrs) * f.cfg.PeakCF
 }
 
 func stepOU(rng *rand.Rand, xs []float64, tauHrs, sigma, dtHrs float64) {
@@ -140,13 +152,11 @@ func stepOU(rng *rand.Rand, xs []float64, tauHrs, sigma, dtHrs float64) {
 
 // CapacityFactor returns the site's current capacity factor in [0, 1].
 func (f *Field) CapacityFactor(site int) float64 {
-	hrs := f.cfg.StartHours + float64(f.interval)*StepMinutes/60
-	env := ClearSky(hrs) * f.cfg.PeakCF
-	if env <= 0 {
+	if f.env <= 0 {
 		return 0
 	}
 	cloud := logistic(cloudBias + f.regionX[f.siteReg[site]] + f.siteX[site])
-	return env * cloud
+	return f.env * cloud
 }
 
 // ClearSky returns the normalized clear-sky envelope in [0, 1] at hrs from

@@ -173,11 +173,16 @@ type SiteAnalyzer struct {
 	pend    []rec    // tentative tail (NetPrice only)
 	pendSum runAccum // running sums of pend, kept in lockstep
 	last    int64
+	// spare is the flush scratch: flushPending rescans the old pending
+	// records while the new tail grows in *spare, then leaves the old
+	// buffer there for the next flush. The sites of an Analysis share
+	// one spare.
+	spare *[]rec
 }
 
 // NewSiteAnalyzer creates an analyzer for one site.
 func NewSiteAnalyzer(model Model) *SiteAnalyzer {
-	return &SiteAnalyzer{model: model}
+	return NewSiteAnalyzerMin(model, 0)
 }
 
 // NewSiteAnalyzerMin creates an analyzer that additionally requires at
@@ -186,7 +191,7 @@ func NewSiteAnalyzer(model Model) *SiteAnalyzer {
 // negative into the evening while the panels produce nothing — intervals
 // without power cannot host computing.
 func NewSiteAnalyzerMin(model Model, minMW float64) *SiteAnalyzer {
-	return &SiteAnalyzer{model: model, minMW: minMW}
+	return &SiteAnalyzer{model: model, minMW: minMW, spare: new([]rec)}
 }
 
 // Observe consumes the site's record for the next 5-minute interval.
@@ -250,19 +255,19 @@ func (a *SiteAnalyzer) scan(x rec) {
 }
 
 // flushPending closes the committed run and rescans the pending records.
+// The rescan re-pends into the spare buffer, and the flushed buffer
+// becomes the spare. The rescan never flushes again: every pending record
+// met the minMW floor, and it re-pends at most MaxBridgeSteps of them.
 func (a *SiteAnalyzer) flushPending() {
 	pend := a.pend
-	a.pend = nil
+	a.pend = (*a.spare)[:0]
 	a.pendSum = runAccum{}
 	a.emit()
 	a.open = false
 	for _, p := range pend {
 		a.scan(p)
 	}
-	// recycle the flushed slice for the (possibly re-grown) pending buffer
-	if a.pend == nil {
-		a.pend = pend[:0]
-	}
+	*a.spare = pend[:0]
 }
 
 // closeRun finalizes the current run; pending records are rescanned so a
@@ -336,10 +341,14 @@ func (a *SiteAnalyzer) Stats(site int) SiteStats {
 	return s
 }
 
-// Analysis runs all sites of a dataset against one model.
+// Analysis runs all sites of a dataset against one model. Its sites
+// share one flush scratch buffer, so an Analysis is not safe for
+// concurrent use, not even on distinct sites; separate Analyses are
+// independent.
 type Analysis struct {
 	model Model
 	sites []*SiteAnalyzer
+	spare []rec // flush scratch shared by sites (see SiteAnalyzer.spare)
 }
 
 // NewAnalysis creates per-site analyzers for nSites sites.
@@ -352,7 +361,7 @@ func NewAnalysis(model Model, nSites int) *Analysis {
 func NewAnalysisMin(model Model, nSites int, minMW float64) *Analysis {
 	a := &Analysis{model: model, sites: make([]*SiteAnalyzer, nSites)}
 	for i := range a.sites {
-		a.sites[i] = NewSiteAnalyzerMin(model, minMW)
+		a.sites[i] = &SiteAnalyzer{model: model, minMW: minMW, spare: &a.spare}
 	}
 	return a
 }

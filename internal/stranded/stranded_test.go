@@ -3,6 +3,7 @@ package stranded
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -381,5 +382,77 @@ func TestIntervalSetProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
+	}
+}
+
+// bridgeSeries returns a price/power series for one site that keeps
+// NetPrice analyzers busy with long bridges: regimes of deep negative,
+// mildly positive and high prices, each up to 400 intervals long, so
+// pending tails overflow MaxBridgeSteps and get flushed and rescanned.
+// About 2% of records offer less than 1 MW (below a 1 MW floor).
+func bridgeSeries(r *rand.Rand, n int) (lmp, mw, maxMW []float64) {
+	lmp, mw, maxMW = make([]float64, n), make([]float64, n), make([]float64, n)
+	regime, left := 0, 0
+	for i := 0; i < n; i++ {
+		if left == 0 {
+			regime, left = r.Intn(3), 1+r.Intn(400)
+		}
+		left--
+		switch regime {
+		case 0:
+			lmp[i] = -40 + 35*r.Float64()
+		case 1:
+			lmp[i] = 0.5 + 9.5*r.Float64()
+		default:
+			lmp[i] = 30 + 50*r.Float64()
+		}
+		if r.Intn(20) == 0 {
+			lmp[i] = -60 * r.Float64() // isolated dips re-open runs in rescans
+		}
+		mw[i] = 60 * r.Float64()
+		maxMW[i] = mw[i] * 1.2
+		if r.Intn(50) == 0 {
+			mw[i], maxMW[i] = 0.2, 0.5
+		}
+	}
+	return lmp, mw, maxMW
+}
+
+// TestSharedFlushScratch drives the sites of one NetPrice Analysis,
+// interleaved interval by interval, through many bridge flushes with
+// their shared flush scratch, and checks every site's intervals against
+// a fresh analyzer that saw only that site: one site's flush must not
+// corrupt another site's pending tail.
+func TestSharedFlushScratch(t *testing.T) {
+	const sites, n = 12, 6000
+	r := rand.New(rand.NewSource(20))
+	type series struct{ lmp, mw, maxMW []float64 }
+	data := make([]series, sites)
+	for s := range data {
+		data[s].lmp, data[s].mw, data[s].maxMW = bridgeSeries(r, n)
+	}
+	for _, minMW := range []float64{0, 1} {
+		for _, m := range []Model{{NetPrice, 0}, {NetPrice, 5}} {
+			an := NewAnalysisMin(m, sites, minMW)
+			for i := 0; i < n; i++ {
+				for s, d := range data {
+					an.ObserveValues(s, int64(i), d.lmp[i], d.mw[i], d.maxMW[i])
+				}
+			}
+			if cap(an.spare) == 0 {
+				t.Fatalf("%v min %v: no pending tail was ever flushed", m, minMW)
+			}
+			for s, d := range data {
+				ref := NewSiteAnalyzerMin(m, minMW)
+				for i := 0; i < n; i++ {
+					ref.Observe(int64(i), d.lmp[i], d.mw[i], d.maxMW[i])
+				}
+				want := ref.Stats(s)
+				if got := an.sites[s].Stats(s); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%v min %v site %d: shared-scratch analysis gave %d intervals, fresh analyzer %d",
+						m, minMW, s, len(got.Intervals), len(want.Intervals))
+				}
+			}
+		}
 	}
 }

@@ -76,6 +76,9 @@ type Field struct {
 	siteReg  []int
 	bias     float64 // logistic offset hitting MeanCF
 	interval int64
+	// seas and diur are the current interval's annual and daily cycle
+	// terms, shared by every site (set by cycles).
+	seas, diur float64
 }
 
 // NewFieldWithRegions creates a field with an explicit site→region
@@ -126,6 +129,7 @@ func NewField(cfg FieldConfig) (*Field, error) {
 		f.siteX[s] = f.rng.NormFloat64() * siteSigma
 		f.siteReg[s] = s % cfg.Regions
 	}
+	f.cycles()
 	return f, nil
 }
 
@@ -144,6 +148,14 @@ func (f *Field) Step() {
 	stepOU(f.rng, f.regionX, regionTauHrs, regionSigma, dtHrs)
 	stepOU(f.rng, f.siteX, siteTauHrs, siteSigma, dtHrs)
 	f.interval++
+	f.cycles()
+}
+
+// cycles computes the seasonal and diurnal terms of the current
+// interval, which are the same for every site.
+func (f *Field) cycles() {
+	hrs := f.cfg.StartHours + float64(f.interval)*StepMinutes/60
+	f.seas, f.diur = seasonal(hrs), diurnal(hrs)
 }
 
 // stepOU advances mean-zero OU processes with time constant tau and
@@ -158,11 +170,10 @@ func stepOU(rng *rand.Rand, xs []float64, tauHrs, sigma, dtHrs float64) {
 
 // CapacityFactor returns site's current capacity factor in [0, 1].
 func (f *Field) CapacityFactor(site int) float64 {
-	hrs := f.cfg.StartHours + float64(f.interval)*StepMinutes/60
 	lat := f.bias +
 		f.regionX[f.siteReg[site]] +
 		f.siteX[site] +
-		seasonal(hrs) + diurnal(hrs)
+		f.seas + f.diur
 	return logistic(lat)
 }
 
