@@ -137,63 +137,61 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	// A restored run takes its jobs from the snapshot; only a fresh run
-	// needs a workload.
+	// A restored run replays the same workload, so its stdout matches an
+	// uninterrupted run's.
 	var tr *zccloud.Trace
-	if *restore == "" {
-		if *swfPath != "" {
-			f, err := os.Open(*swfPath)
-			if err != nil {
-				return fmt.Errorf("opening SWF trace: %w", err)
-			}
-			var header zccloud.SWFHeader
-			var skipped zccloud.SWFSkipReport
-			tr, header, skipped, err = zccloud.ParseSWF(f, zccloud.SWFOptions{
-				ProcsPerNode: *procsPer,
-				SkipFailed:   true,
-				File:         *swfPath,
-			})
-			f.Close()
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, "replaying %s: %d jobs (%d skipped)", *swfPath, len(tr.Jobs), skipped.Count)
-			if mn := header.MaxNodes(); mn > 0 {
-				fmt.Fprintf(stdout, ", trace machine %d nodes", mn)
-			}
-			fmt.Fprintln(stdout)
-			for _, s := range skipped.Samples {
-				fmt.Fprintf(stdout, "  skipped %s\n", s)
-			}
-			if more := skipped.Count - len(skipped.Samples); more > 0 && len(skipped.Samples) > 0 {
-				fmt.Fprintf(stdout, "  ... and %d more\n", more)
-			}
-		} else {
-			wcfg := zccloud.WorkloadConfig{
-				Seed:              *seed,
-				Days:              *days,
-				SystemNodes:       *nodes,
-				TargetUtilization: *util,
-				Scale:             *scale,
-			}
-			if *burst {
-				if zc == nil {
-					return fmt.Errorf("-burst requires -zc-factor > 0")
-				}
-				wcfg.Shape = zccloud.Burst
-				horizon := zccloud.Time(*days) * zccloud.Day
-				wcfg.UptimeWindows = materialize(zc, horizon)
-			}
-			var err error
-			tr, err = zccloud.GenerateWorkload(wcfg)
-			if err != nil {
-				return fmt.Errorf("generating workload: %v", err)
-			}
+	if *swfPath != "" {
+		f, err := os.Open(*swfPath)
+		if err != nil {
+			return fmt.Errorf("opening SWF trace: %w", err)
 		}
-		st := zccloud.SummarizeWorkload(tr, *nodes)
-		fmt.Fprintf(stdout, "workload: %d jobs over %.0f days, %.0f M node-hours (%.1f%% of Mira)\n",
-			st.Jobs, st.Days, st.NodeHours/1e6, 100*st.Utilization)
+		var header zccloud.SWFHeader
+		var skipped zccloud.SWFSkipReport
+		tr, header, skipped, err = zccloud.ParseSWF(f, zccloud.SWFOptions{
+			ProcsPerNode: *procsPer,
+			SkipFailed:   true,
+			File:         *swfPath,
+		})
+		f.Close()
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "replaying %s: %d jobs (%d skipped)", *swfPath, len(tr.Jobs), skipped.Count)
+		if mn := header.MaxNodes(); mn > 0 {
+			fmt.Fprintf(stdout, ", trace machine %d nodes", mn)
+		}
+		fmt.Fprintln(stdout)
+		for _, s := range skipped.Samples {
+			fmt.Fprintf(stdout, "  skipped %s\n", s)
+		}
+		if more := skipped.Count - len(skipped.Samples); more > 0 && len(skipped.Samples) > 0 {
+			fmt.Fprintf(stdout, "  ... and %d more\n", more)
+		}
+	} else {
+		wcfg := zccloud.WorkloadConfig{
+			Seed:              *seed,
+			Days:              *days,
+			SystemNodes:       *nodes,
+			TargetUtilization: *util,
+			Scale:             *scale,
+		}
+		if *burst {
+			if zc == nil {
+				return fmt.Errorf("-burst requires -zc-factor > 0")
+			}
+			wcfg.Shape = zccloud.Burst
+			horizon := zccloud.Time(*days) * zccloud.Day
+			wcfg.UptimeWindows = materialize(zc, horizon)
+		}
+		var err error
+		tr, err = zccloud.GenerateWorkload(wcfg)
+		if err != nil {
+			return fmt.Errorf("generating workload: %v", err)
+		}
 	}
+	st := zccloud.SummarizeWorkload(tr, *nodes)
+	fmt.Fprintf(stdout, "workload: %d jobs over %.0f days, %.0f M node-hours (%.1f%% of Mira)\n",
+		st.Jobs, st.Days, st.NodeHours/1e6, 100*st.Utilization)
 
 	obsOpt := zccloud.ObsOptions{
 		Metrics:   zccloud.NewMetricsRegistry(),
@@ -317,8 +315,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if lerr != nil {
 			return lerr
 		}
-		fmt.Fprintf(stdout, "restored %s: resuming %d jobs to deadline %.1f days\n",
-			*restore, len(snap.Jobs), float64(snap.Deadline)/float64(zccloud.Day))
+		fmt.Fprintf(stderr, "zccsim: restored %s: %d of %d jobs arrived; resuming to deadline %.1f days\n",
+			*restore, len(snap.Jobs), len(tr.Jobs), float64(snap.Deadline)/float64(zccloud.Day))
 		m, err = zccloud.ResumeSimulation(runCfg, snap)
 	} else {
 		m, err = zccloud.Simulate(runCfg)

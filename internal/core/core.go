@@ -118,7 +118,8 @@ func BuildMachine(c SystemConfig) (*cluster.Machine, error) {
 type RunConfig struct {
 	System SystemConfig
 	// Trace is the workload; jobs are reset before the run and carry
-	// their outcomes afterwards.
+	// their outcomes afterwards. Resume needs the same trace the
+	// snapshot's run had.
 	Trace *job.Trace
 	// Deadline bounds the run; zero defaults to the trace span plus 90
 	// days of drain time.
@@ -260,46 +261,6 @@ func buildSched(cfg RunConfig, sys SystemConfig) (sched.Config, *cluster.Machine
 	return scfg, machine, nil
 }
 
-// finishRun drives the scheduler to the deadline and turns the outcome
-// into Metrics, converting an interruption (Obs.Interrupt, StopAt, or
-// ctx cancellation) into an *Interrupted error carrying the snapshot.
-func finishRun(ctx context.Context, s *sched.Scheduler, deadline sim.Time,
-	machine *cluster.Machine, jobs []*job.Job, obsOpts obs.Options) (*Metrics, error) {
-	logger := runLogger(obsOpts)
-	logger.Info("run started", "jobs", len(jobs), "deadline_days", float64(deadline)/float64(sim.Day))
-	obsOpts.Status.SetPhase("simulate")
-	span := obsOpts.Timings.Start("run.simulate")
-	res, err := s.RunContext(ctx, deadline)
-	span.Stop()
-	if errors.Is(err, sched.ErrInterrupted) {
-		snap, serr := s.Snapshot()
-		if serr != nil {
-			return nil, serr
-		}
-		logger.Info("run interrupted", "pending_events", len(snap.Pending))
-		return nil, &Interrupted{Snapshot: snap}
-	}
-	if err != nil {
-		logger.Error("run failed", "err", err.Error())
-		return nil, err
-	}
-	span = obsOpts.Timings.Start("run.collect")
-	defer span.Stop()
-	m := collectMetrics(res, machine, jobs, obsOpts)
-	logger.Info("run finished", "completed", m.Completed, "unfinished", m.Unfinished,
-		"makespan_days", m.MakespanDays, "avg_wait_hrs", m.AvgWaitHrs)
-	return m, nil
-}
-
-// runLogger binds the run ID (when set) to the run's logger, mirroring
-// the binding buildSched hands the scheduler.
-func runLogger(o obs.Options) *obs.Logger {
-	if o.RunID == "" {
-		return o.Log
-	}
-	return o.Log.With("run_id", o.RunID)
-}
-
 // Run simulates one configuration and extracts metrics. When the run is
 // paused (Obs.Interrupt or StopAt) the error is an *Interrupted carrying
 // a snapshot for Resume.
@@ -312,6 +273,31 @@ func Run(cfg RunConfig) (*Metrics, error) {
 // does, returning an *Interrupted that carries a resume snapshot. An
 // uncancellable context costs the hot loop nothing.
 func RunContext(ctx context.Context, cfg RunConfig) (*Metrics, error) {
+	return run(ctx, cfg, nil)
+}
+
+// Resume continues a run from a snapshot taken by an interrupted Run
+// (or Resume). cfg must describe the same system and trace the snapshot
+// came from — sched.Restore verifies the fingerprint and refuses a
+// mismatch. As in Run, the trace's jobs carry their outcomes afterwards,
+// and the continued run is byte-identical to one that was never
+// interrupted.
+func Resume(cfg RunConfig, snap *sched.Snapshot) (*Metrics, error) {
+	return ResumeContext(context.Background(), cfg, snap)
+}
+
+// ResumeContext is Resume under a context; a resumed run can itself be
+// cancelled and re-snapshotted any number of times.
+func ResumeContext(ctx context.Context, cfg RunConfig, snap *sched.Snapshot) (*Metrics, error) {
+	return run(ctx, cfg, snap)
+}
+
+// run is Run when snap is nil and Resume otherwise: it builds the
+// scheduler over cfg.Trace, drives it to the deadline, and turns the
+// outcome into Metrics, converting an interruption (Obs.Interrupt,
+// StopAt, or ctx cancellation) into an *Interrupted error carrying the
+// snapshot.
+func run(ctx context.Context, cfg RunConfig, snap *sched.Snapshot) (*Metrics, error) {
 	if cfg.Trace == nil || len(cfg.Trace.Jobs) == 0 {
 		return nil, fmt.Errorf("core: empty trace")
 	}
@@ -327,59 +313,54 @@ func RunContext(ctx context.Context, cfg RunConfig) (*Metrics, error) {
 	}
 	cfg.Trace.Reset()
 
-	_, last := cfg.Trace.Span()
+	var s *sched.Scheduler
 	deadline := cfg.Deadline
-	if deadline == 0 {
-		deadline = last + 90*sim.Day
-	}
-	s, err := sched.New(scfg)
-	if err != nil {
-		span.Stop()
-		return nil, err
-	}
-	if err := s.LoadTrace(cfg.Trace); err != nil {
-		span.Stop()
-		return nil, err
-	}
-	span.Stop()
-	return finishRun(ctx, s, deadline, machine, cfg.Trace.Jobs, cfg.Obs)
-}
-
-// Resume continues a run from a snapshot taken by an interrupted Run
-// (or Resume). cfg must describe the same system the snapshot came from
-// — sched.Restore verifies the configuration fingerprint — but
-// cfg.Trace is ignored: the snapshot carries the full job state, and
-// the returned Metrics are computed from it. The continued run is
-// byte-identical to one that was never interrupted.
-func Resume(cfg RunConfig, snap *sched.Snapshot) (*Metrics, error) {
-	return ResumeContext(context.Background(), cfg, snap)
-}
-
-// ResumeContext is Resume under a context; a resumed run can itself be
-// cancelled and re-snapshotted any number of times.
-func ResumeContext(ctx context.Context, cfg RunConfig, snap *sched.Snapshot) (*Metrics, error) {
-	sys := cfg.System.withDefaults()
-	if err := sys.Validate(); err != nil {
-		return nil, err
-	}
-	span := cfg.Obs.Timings.Start("run.setup")
-	scfg, machine, err := buildSched(cfg, sys)
-	if err != nil {
-		span.Stop()
-		return nil, err
-	}
-	s, err := sched.Restore(scfg, snap)
-	if err != nil {
-		span.Stop()
-		return nil, err
+	if snap != nil {
+		deadline = snap.Deadline
+		s, err = sched.Restore(scfg, cfg.Trace, snap)
+	} else {
+		if deadline == 0 {
+			_, last := cfg.Trace.Span()
+			deadline = last + 90*sim.Day
+		}
+		s, err = sched.New(scfg)
+		if err == nil {
+			err = s.LoadTrace(cfg.Trace)
+		}
 	}
 	span.Stop()
-	return finishRun(ctx, s, snap.Deadline, machine, s.Jobs(), cfg.Obs)
+	if err != nil {
+		return nil, err
+	}
+
+	logger := scfg.Log // the scheduler's logger, bound to the run ID
+	logger.Info("run started", "jobs", len(cfg.Trace.Jobs), "deadline_days", float64(deadline)/float64(sim.Day))
+	cfg.Obs.Status.SetPhase("simulate")
+	span = cfg.Obs.Timings.Start("run.simulate")
+	res, err := s.RunContext(ctx, deadline)
+	span.Stop()
+	if errors.Is(err, sched.ErrInterrupted) {
+		snap, serr := s.Snapshot()
+		if serr != nil {
+			return nil, serr
+		}
+		logger.Info("run interrupted", "pending_events", len(snap.Pending))
+		return nil, &Interrupted{Snapshot: snap}
+	}
+	if err != nil {
+		logger.Error("run failed", "err", err.Error())
+		return nil, err
+	}
+	span = cfg.Obs.Timings.Start("run.collect")
+	defer span.Stop()
+	m := collectMetrics(res, machine, cfg.Trace.Jobs, cfg.Obs)
+	logger.Info("run finished", "completed", m.Completed, "unfinished", m.Unfinished,
+		"makespan_days", m.MakespanDays, "avg_wait_hrs", m.AvgWaitHrs)
+	return m, nil
 }
 
 // collectMetrics extracts everything the paper's figures read off one
-// completed run. jobs is the authoritative job set: the original trace
-// for a straight run, the scheduler's restored copies for a resumed one.
+// completed run from its result and its trace's jobs.
 func collectMetrics(res sched.Result, machine *cluster.Machine, jobs []*job.Job, obsOpts obs.Options) *Metrics {
 	var first, last sim.Time
 	for i, j := range jobs {

@@ -103,7 +103,7 @@ func TestRunContextCancelSnapshotResume(t *testing.T) {
 	if err := json.Unmarshal(blob, &parsed); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Restore(snapWorld(t, true, ct), &parsed)
+	s2, err := Restore(snapWorld(t, true, ct), snapTrace(), &parsed)
 	if err != nil {
 		t.Fatalf("restore: %v", err)
 	}

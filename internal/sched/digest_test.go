@@ -26,16 +26,16 @@ var wantDigests = []struct {
 	trace, events, result, snapshot string
 }{
 	{FCFS,
-		"a41750c6d1d392c6bd9e58ab00d2201aeb06ec51aba458eb8d3f622447c99e58",
+		"83d6fc55f33d37864390433f7200686e91a5aad6bff17d1861a314780455509f",
 		"0ea28cd76f815629d4cb483b3c5e520241c55ab8b04a97eaf243d1b70f8f83f7",
 		"b09b05b0cc7cb6228e9290c25732728bd8761b538ab8d282892e586f98c42804",
-		"d0a86423dbade267ee865e32d9894dc3f349b2f0dbe8a181090bca095a31eccb"},
+		"8be8c687cc60492e295959c2dcada9ee14d5eec8540cec45dde5a3f83b550e86"},
 	// WFP is the policy behind every paper experiment.
 	{WFP,
-		"f2965ff0d6c6bfd5e0f32a02d8ff12a7e58ef85cfa5e8d0da346b88c754c64f5",
+		"f7496229c2926829a517d31da2316ee1241964b7e92fdc0a52f9de8d2c462726",
 		"cadaf5b65da674e5f1b6960c5c2ae7628f0f8407c75898b045ba5337a63b52dd",
 		"099cd5542f2b844ccf93f059d130c0d5102431bcba9ad838a8f855d159df177c",
-		"db930f088c9b18039cf704361b31cea2620675505b1fb23e92d235d55122de7b"},
+		"76ce87bf634fa3323e8816df55af34e9ca082f74d0b6a799737810d3e37c9991"},
 }
 
 // TestOutputDigests is a cross-commit identity oracle. Determinism tests

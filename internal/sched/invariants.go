@@ -53,10 +53,10 @@ func (s *Scheduler) violation(name, format string, args ...any) error {
 // nil means all hold.
 func (s *Scheduler) CheckInvariants() error {
 	now := s.eng.Now()
-	if now < s.checked {
-		return s.violation("monotone-time", "clock moved backward: %v after %v", now, s.checked)
+	if now < s.acct.Checked {
+		return s.violation("monotone-time", "clock moved backward: %v after %v", now, s.acct.Checked)
 	}
-	s.checked = now
+	s.acct.Checked = now
 
 	// Capacity accounting per partition.
 	onPart := make(map[string]int) // allocated nodes per partition, from the running set
@@ -151,13 +151,13 @@ func (s *Scheduler) CheckInvariants() error {
 	}
 
 	// Job-state conservation over arrived jobs.
-	if got := len(s.queue) + len(s.running) + s.backoff + s.done + s.unrun + s.abandoned; got != s.arrived {
+	if got := len(s.queue) + len(s.running) + s.acct.Backoff + s.acct.Done + s.acct.Unrun + s.acct.Abandoned; got != s.arrived {
 		return s.violation("conservation",
 			"%d jobs arrived but states account for %d (queued=%d running=%d backoff=%d done=%d unrunnable=%d abandoned=%d)",
-			s.arrived, got, len(s.queue), len(s.running), s.backoff, s.done, s.unrun, s.abandoned)
+			s.arrived, got, len(s.queue), len(s.running), s.acct.Backoff, s.acct.Done, s.acct.Unrun, s.acct.Abandoned)
 	}
-	if s.arrived > s.total {
-		return s.violation("conservation", "%d arrivals exceed %d submissions", s.arrived, s.total)
+	if s.arrived > len(s.arrivals) {
+		return s.violation("conservation", "%d arrivals exceed %d submissions", s.arrived, len(s.arrivals))
 	}
 	return nil
 }

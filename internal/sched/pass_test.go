@@ -128,7 +128,7 @@ func refBackfillStart(s *Scheduler, j *job.Job, now sim.Time, resPart *cluster.P
 // cut: the reference sort, the reference partition checks, and a phase-3
 // scan that tries every job up to BackfillDepth.
 func refPass(s *Scheduler, now sim.Time) {
-	s.passes++
+	s.acct.Passes++
 	if s.cfg.Policy == WFP {
 		refSortWFP(s.queue, now)
 	}
@@ -151,8 +151,8 @@ func refPass(s *Scheduler, now sim.Time) {
 	if resPart == nil {
 		return
 	}
-	if s.resJob != head.ID || s.resTime != resTime {
-		s.resJob, s.resTime = head.ID, resTime
+	if s.acct.ResJob != head.ID || s.acct.ResTime != resTime {
+		s.acct.ResJob, s.acct.ResTime = head.ID, resTime
 		s.tracer.Trace(obs.Event{Time: now, Kind: obs.EvReserve, Job: head.ID,
 			Partition: resPart.Name, Nodes: head.Nodes, Detail: float64(resTime)})
 	}
@@ -306,7 +306,7 @@ func TestPassMatchesReference(t *testing.T) {
 					}
 					comparePartitionChecks(t, s, s.eng.Now())
 					depth := 3 * (k % 2) // whole-queue and depth-3 scans, alternately
-					backfilled += comparePasses(t, snapshotJSON(t, s), build, depth, at+step)
+					backfilled += comparePasses(t, s, build, depth, at+step)
 				}
 				if backfilled < 25 {
 					t.Fatalf("only %d backfills in the compared stretches; the comparison is too thin", backfilled)
@@ -385,18 +385,19 @@ func boundaryProbes(s *Scheduler, now sim.Time) []*job.Job {
 	return probes
 }
 
-// comparePasses restores two copies of a snapshot at the given
+// comparePasses restores two copies of a snapshot of s at the given
 // BackfillDepth and dispatches their events up to until, sending one
 // copy's passes to pass and the other's to refPass; the copies must end
 // in equal snapshots. It returns the jobs backfilled on the way.
-func comparePasses(t *testing.T, blob []byte, build func(*testing.T) Config, depth int, until sim.Time) int {
+func comparePasses(t *testing.T, s *Scheduler, build func(*testing.T) Config, depth int, until sim.Time) int {
 	t.Helper()
+	blob := snapshotJSON(t, s)
 	restore := func() *Scheduler {
 		var snap Snapshot
 		if err := json.Unmarshal(blob, &snap); err != nil {
 			t.Fatal(err)
 		}
-		s, err := Restore(build(t), &snap)
+		s, err := Restore(build(t), unrunTrace(s), &snap)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -404,7 +405,7 @@ func comparePasses(t *testing.T, blob []byte, build func(*testing.T) Config, dep
 		return s
 	}
 	got, want := restore(), restore()
-	before := got.backfilled
+	before := got.acct.Backfilled
 	dispatchUntil(got, until, (*Scheduler).pass)
 	dispatchUntil(want, until, refPass)
 	if got.err != nil || want.err != nil {
@@ -421,7 +422,7 @@ func comparePasses(t *testing.T, blob []byte, build func(*testing.T) Config, dep
 	if !reflect.DeepEqual(gs, ws) {
 		t.Fatalf("t=%v depth %d: pass and reference pass diverge", until, depth)
 	}
-	return got.backfilled - before
+	return got.acct.Backfilled - before
 }
 
 // dispatchUntil is Run's event loop without its checks: it dispatches
@@ -433,7 +434,7 @@ func dispatchUntil(s *Scheduler, until sim.Time, pass func(*Scheduler, sim.Time)
 		}
 		now, pe, _ := s.eng.Next()
 		if pe.Kind == evPass {
-			s.passSet = false
+			s.acct.PassSet = false
 			pass(s, now)
 			continue
 		}

@@ -251,7 +251,7 @@ func restoreFrom(t *testing.T, s *Scheduler, cfg Config) *Scheduler {
 		t.Fatal(err)
 	}
 	cfg.Check = true
-	r, err := Restore(cfg, &parsed)
+	r, err := Restore(cfg, unrunTrace(s), &parsed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -250,41 +250,20 @@ type Scheduler struct {
 	running        map[int]*runningJob
 	releases       map[*cluster.Partition][]release // per-partition release index
 	jobs           map[int]*job.Job                 // every submitted job by ID
-	total          int
-	arrived        int // jobs whose arrival event has fired
-	backoff        int // killed jobs waiting out a retry delay (neither queued nor running)
-	done           int
-	unrun          int
-	nodeHrs        map[string]float64
-	passes         int
+	arrivals       []*job.Job                       // every submitted job, stably by Submit
+	arrived        int                              // arrivals[:arrived] have arrived
+	arrival        sim.Handle                       // the one pending arrival: arrivals[arrived]
+	acct           counters
 	deadline       sim.Time
-	passAt         sim.Time // coalesce multiple pass requests at one instant
-	passSet        bool
-	lastEnd        sim.Time
 	ranked         []wfpEntry // scratch for WFP sorting
 	views          []partView // scratch: the partitions as the current pass sees them
 	err            error      // first fatal scheduling error; stops Run
-	restored       bool       // built by Restore: pending events already scheduled
-	availScheduled bool       // availability/fault events materialized (Run is re-entrant)
-	checked        sim.Time   // last event time seen by the invariant checker
+	availScheduled bool       // availability/fault events materialized, by Run or Restore
 
 	// Fault-layer state (nil maps when cfg.Faults is nil).
 	failOffline   map[string]int   // nodes down from injected failures, per partition
 	windowOffline map[string]int   // nodes down from a window end under the fate path
 	queueAt       map[int]sim.Time // requeue-to-back: effective queue time override
-	abandoned     int
-	nodeFailures  int
-	brownouts     int
-
-	// Telemetry accounting (mirrored into Result and cfg.Metrics).
-	started    int
-	backfilled int
-	killed     int
-	requeued   int
-	pinned     int
-	peakQueue  int
-	resJob     int      // job holding the EASY reservation; -1 when none
-	resTime    sim.Time // its reserved start time
 
 	// Pass-cost counters, published under "sched" but not snapshotted: a
 	// restored run counts only its continuation.
@@ -292,6 +271,31 @@ type Scheduler struct {
 	releasesScanned int // release-index entries walked by earliestStart and extraNodesAt
 	queueScanned    int // queued jobs visited by the backfill scan
 	sortFallbacks   int // WFP passes whose insertion sort ran out of budget
+}
+
+// counters is the scheduler's scalar accounting, mirrored into Result
+// and cfg.Metrics and saved whole by Snapshot.
+type counters struct {
+	Backoff      int                `json:"backoff"` // killed jobs waiting out a retry delay (neither queued nor running)
+	Done         int                `json:"done"`
+	Unrun        int                `json:"unrun"`
+	Passes       int                `json:"passes"`
+	Started      int                `json:"started"`
+	Backfilled   int                `json:"backfilled"`
+	Killed       int                `json:"killed"`
+	Requeued     int                `json:"requeued"`
+	Pinned       int                `json:"pinned"`
+	PeakQueue    int                `json:"peak_queue"`
+	Abandoned    int                `json:"abandoned"`
+	NodeFailures int                `json:"node_failures"`
+	Brownouts    int                `json:"brownouts"`
+	NodeHours    map[string]float64 `json:"node_hours,omitempty"`
+	PassAt       sim.Time           `json:"pass_at"` // coalesce multiple pass requests at one instant
+	PassSet      bool               `json:"pass_set"`
+	LastEnd      sim.Time           `json:"last_end"`
+	Checked      sim.Time           `json:"checked"`  // last event time seen by the invariant checker
+	ResJob       int                `json:"res_job"`  // job holding the EASY reservation; -1 when none
+	ResTime      sim.Time           `json:"res_time"` // its reserved start time
 }
 
 // New creates a Scheduler on a fresh event engine. Machine is required;
@@ -314,8 +318,7 @@ func New(cfg Config) (*Scheduler, error) {
 		running:  make(map[int]*runningJob),
 		releases: make(map[*cluster.Partition][]release),
 		jobs:     make(map[int]*job.Job),
-		nodeHrs:  make(map[string]float64),
-		resJob:   -1,
+		acct:     counters{NodeHours: make(map[string]float64), ResJob: -1},
 	}
 	if cfg.Faults != nil {
 		s.failOffline = make(map[string]int)
@@ -324,9 +327,10 @@ func New(cfg Config) (*Scheduler, error) {
 	return s, nil
 }
 
-// LoadTrace schedules arrival events for every job in the trace.
+// LoadTrace submits every job in the trace. The scheduler records its
+// outcomes on the trace's jobs.
 func (s *Scheduler) LoadTrace(tr *job.Trace) error {
-	for _, j := range tr.Jobs {
+	for _, j := range bySubmit(tr) {
 		if err := s.Submit(j); err != nil {
 			return err
 		}
@@ -334,20 +338,64 @@ func (s *Scheduler) LoadTrace(tr *job.Trace) error {
 	return nil
 }
 
-// Submit schedules the arrival of one job. Invalid jobs (including
-// duplicate IDs) are rejected with an error and leave the scheduler
-// unchanged.
+// bySubmit returns tr's jobs stably sorted by Submit, so that loading a
+// trace in any order appends each job to the arrival list.
+func bySubmit(tr *job.Trace) []*job.Job {
+	cmpSubmit := func(a, b *job.Job) int { return cmp.Compare(a.Submit, b.Submit) }
+	if slices.IsSortedFunc(tr.Jobs, cmpSubmit) {
+		return tr.Jobs
+	}
+	js := slices.Clone(tr.Jobs)
+	slices.SortStableFunc(js, cmpSubmit)
+	return js
+}
+
+// Submit adds one job to the arrival list. Jobs arrive in Submit order,
+// ties in the order they were submitted; only the next one to arrive has
+// an event in the engine. Invalid jobs (including duplicate IDs and,
+// once the run has started, submission times before Now) are rejected
+// with an error and leave the scheduler unchanged.
 func (s *Scheduler) Submit(j *job.Job) error {
+	i, err := s.add(j)
+	if err != nil {
+		return err
+	}
+	if i == s.arrived {
+		// j arrives before the job whose arrival is pending.
+		s.eng.Cancel(s.arrival)
+		s.scheduleArrival()
+	}
+	return nil
+}
+
+// add inserts j into the arrival list without scheduling anything and
+// returns its position.
+func (s *Scheduler) add(j *job.Job) (int, error) {
 	if err := job.Validate(j); err != nil {
-		return fmt.Errorf("sched: %w", err)
+		return 0, fmt.Errorf("sched: %w", err)
 	}
 	if _, dup := s.jobs[j.ID]; dup {
-		return fmt.Errorf("sched: duplicate job ID %d", j.ID)
+		return 0, fmt.Errorf("sched: duplicate job ID %d", j.ID)
+	}
+	if now := s.eng.Now(); j.Submit < now {
+		return 0, fmt.Errorf("sched: job %d submitted at %v, before the clock (%v)", j.ID, j.Submit, now)
 	}
 	s.jobs[j.ID] = j
-	s.total++
-	s.schedule(pendingEvent{Kind: evArrival, At: j.Submit, Prio: sim.PrioArrival, Job: j.ID})
-	return nil
+	i := len(s.arrivals)
+	if i > 0 && j.Submit < s.arrivals[i-1].Submit {
+		i = sort.Search(i, func(k int) bool { return s.arrivals[k].Submit > j.Submit })
+	}
+	s.arrivals = slices.Insert(s.arrivals, i, j)
+	return i, nil
+}
+
+// scheduleArrival queues the arrival of the next job yet to arrive, if
+// any.
+func (s *Scheduler) scheduleArrival() {
+	if s.arrived < len(s.arrivals) {
+		j := s.arrivals[s.arrived]
+		s.arrival = s.schedule(pendingEvent{Kind: evArrival, At: j.Submit, Prio: sim.PrioArrival, Job: j.ID})
+	}
 }
 
 // ErrInterrupted is returned by Run when Config.Interrupt reports true
@@ -381,20 +429,15 @@ func (s *Scheduler) Run(deadline sim.Time) (Result, error) {
 // cancelled (ctx.Done() == nil, e.g. context.Background()) is never
 // polled, so Run's hot loop pays nothing for the plumbing.
 func (s *Scheduler) RunContext(ctx context.Context, deadline sim.Time) (Result, error) {
-	if s.restored {
-		// A restored run already materialized its availability events up
-		// to the snapshot's deadline; a different one would silently
-		// change the world mid-run.
-		if deadline != s.deadline {
-			return Result{}, fmt.Errorf("sched: restored run has deadline %v, Run called with %v",
-				s.deadline, deadline)
-		}
-	} else if !s.availScheduled {
+	if !s.availScheduled {
 		// Materialize availability and fault events exactly once: Run may
 		// be re-entered after ErrInterrupted to continue in-process.
 		s.scheduleAvailabilityEvents(deadline)
 		s.availScheduled = true
 	} else if deadline != s.deadline {
+		// The events were materialized (here or before a snapshot) up to
+		// the first deadline; a different one would silently change the
+		// world mid-run.
 		return Result{}, fmt.Errorf("sched: continued run has deadline %v, Run called with %v",
 			s.deadline, deadline)
 	}
@@ -450,22 +493,22 @@ func (s *Scheduler) RunContext(ctx context.Context, deadline sim.Time) (Result, 
 		s.publishStatus() // final sample: the run's end state
 	}
 	res := Result{
-		Completed:            s.done,
-		Unfinished:           s.total - s.done - s.unrun - s.abandoned,
-		Unrunnable:           s.unrun,
-		Makespan:             s.lastEnd,
-		NodeHoursByPartition: s.nodeHrs,
-		Passes:               s.passes,
-		Started:              s.started,
-		Backfilled:           s.backfilled,
-		Killed:               s.killed,
-		Requeued:             s.requeued,
-		Abandoned:            s.abandoned,
-		BackingOff:           s.backoff,
-		NodeFailures:         s.nodeFailures,
-		Brownouts:            s.brownouts,
-		Pinned:               s.pinned,
-		PeakQueueLen:         s.peakQueue,
+		Completed:            s.acct.Done,
+		Unfinished:           len(s.arrivals) - s.acct.Done - s.acct.Unrun - s.acct.Abandoned,
+		Unrunnable:           s.acct.Unrun,
+		Makespan:             s.acct.LastEnd,
+		NodeHoursByPartition: s.acct.NodeHours,
+		Passes:               s.acct.Passes,
+		Started:              s.acct.Started,
+		Backfilled:           s.acct.Backfilled,
+		Killed:               s.acct.Killed,
+		Requeued:             s.acct.Requeued,
+		Abandoned:            s.acct.Abandoned,
+		BackingOff:           s.acct.Backoff,
+		NodeFailures:         s.acct.NodeFailures,
+		Brownouts:            s.acct.Brownouts,
+		Pinned:               s.acct.Pinned,
+		PeakQueueLen:         s.acct.PeakQueue,
 	}
 	s.publishMetrics()
 	return res, nil
@@ -482,8 +525,8 @@ func (s *Scheduler) publishStatus() {
 		DeadlineDays:     float64(s.deadline) / float64(sim.Day),
 		QueueLen:         len(s.queue),
 		RunningJobs:      len(s.running),
-		CompletedJobs:    s.done,
-		TotalJobs:        s.total,
+		CompletedJobs:    s.acct.Done,
+		TotalJobs:        len(s.arrivals),
 		EventsDispatched: es.Steps,
 		EventsPending:    es.Pending,
 	}
@@ -521,29 +564,29 @@ func (s *Scheduler) publishMetrics() {
 		return
 	}
 	sc := r.Scope("sched")
-	sc.Counter("jobs_started").Add(int64(s.started))
-	sc.Counter("jobs_backfilled").Add(int64(s.backfilled))
-	sc.Counter("jobs_killed").Add(int64(s.killed))
-	sc.Counter("jobs_requeued").Add(int64(s.requeued))
-	sc.Counter("jobs_pinned").Add(int64(s.pinned))
-	sc.Counter("jobs_unrunnable").Add(int64(s.unrun))
-	sc.Counter("jobs_completed").Add(int64(s.done))
-	sc.Counter("passes").Add(int64(s.passes))
+	sc.Counter("jobs_started").Add(int64(s.acct.Started))
+	sc.Counter("jobs_backfilled").Add(int64(s.acct.Backfilled))
+	sc.Counter("jobs_killed").Add(int64(s.acct.Killed))
+	sc.Counter("jobs_requeued").Add(int64(s.acct.Requeued))
+	sc.Counter("jobs_pinned").Add(int64(s.acct.Pinned))
+	sc.Counter("jobs_unrunnable").Add(int64(s.acct.Unrun))
+	sc.Counter("jobs_completed").Add(int64(s.acct.Done))
+	sc.Counter("passes").Add(int64(s.acct.Passes))
 	sc.Counter("earliest_start_calls").Add(int64(s.earliestCalls))
 	sc.Counter("releases_scanned").Add(int64(s.releasesScanned))
 	sc.Counter("queue_scanned").Add(int64(s.queueScanned))
 	sc.Counter("wfp_sort_fallbacks").Add(int64(s.sortFallbacks))
-	sc.Gauge("queue_peak").SetMax(float64(s.peakQueue))
+	sc.Gauge("queue_peak").SetMax(float64(s.acct.PeakQueue))
 	if s.cfg.Faults != nil {
 		// Registered only on faulted runs so fault-free snapshots stay
 		// identical to the pre-fault-layer output.
-		sc.Counter("jobs_abandoned").Add(int64(s.abandoned))
-		sc.Counter("node_failures").Add(int64(s.nodeFailures))
-		sc.Counter("brownouts").Add(int64(s.brownouts))
+		sc.Counter("jobs_abandoned").Add(int64(s.acct.Abandoned))
+		sc.Counter("node_failures").Add(int64(s.acct.NodeFailures))
+		sc.Counter("brownouts").Add(int64(s.acct.Brownouts))
 		// Jobs still waiting out a retry backoff when the run ended: they
 		// are neither queued nor running, so without this line they would
 		// vanish into Unfinished with no trace of why.
-		sc.Gauge("jobs_backing_off_at_end").SetMax(float64(s.backoff))
+		sc.Gauge("jobs_backing_off_at_end").SetMax(float64(s.acct.Backoff))
 	}
 	st := s.eng.Stats()
 	se := r.Scope("sim")
@@ -613,12 +656,12 @@ func (s *Scheduler) arrive(j *job.Job, now sim.Time) {
 	}
 	s.tracer.Trace(obs.Event{Time: now, Kind: obs.EvArrive, Job: j.ID, Nodes: j.Nodes, Detail: float64(j.Request)})
 	if !s.fitsAnywhere(j) {
-		s.unrun++
+		s.acct.Unrun++
 		s.tracer.Trace(obs.Event{Time: now, Kind: obs.EvUnrunnable, Job: j.ID, Nodes: j.Nodes})
 		return
 	}
 	if s.pinnedToAlwaysOn(j) {
-		s.pinned++
+		s.acct.Pinned++
 		s.tracer.Trace(obs.Event{Time: now, Kind: obs.EvPin, Job: j.ID, Nodes: j.Nodes, Detail: float64(j.Request)})
 	}
 	s.enqueue(j)
@@ -698,8 +741,8 @@ func (s *Scheduler) enqueue(j *job.Job) {
 		copy(s.queue[i+1:], s.queue[i:])
 		s.queue[i] = j
 	}
-	if len(s.queue) > s.peakQueue {
-		s.peakQueue = len(s.queue)
+	if len(s.queue) > s.acct.PeakQueue {
+		s.acct.PeakQueue = len(s.queue)
 	}
 	s.tracer.Trace(obs.Event{Time: s.eng.Now(), Kind: obs.EvEnqueue, Job: j.ID, Nodes: j.Nodes, Detail: float64(len(s.queue))})
 }
@@ -735,11 +778,11 @@ func (s *Scheduler) queueLess(a, b *job.Job) bool {
 // requestPass coalesces scheduling passes so that many events at one
 // instant trigger a single pass.
 func (s *Scheduler) requestPass(now sim.Time) {
-	if s.passSet && s.passAt == now {
+	if s.acct.PassSet && s.acct.PassAt == now {
 		return
 	}
-	s.passSet = true
-	s.passAt = now
+	s.acct.PassSet = true
+	s.acct.PassAt = now
 	s.schedule(pendingEvent{Kind: evPass, At: now, Prio: sim.PrioSchedule})
 }
 
@@ -790,7 +833,7 @@ func (s *Scheduler) maxFree() int {
 // pass is one scheduling cycle: start jobs in queue order, reserve for
 // the first blocked job, then backfill.
 func (s *Scheduler) pass(now sim.Time) {
-	s.passes++
+	s.acct.Passes++
 	if s.cfg.Policy == WFP {
 		s.sortWFP(now)
 	}
@@ -820,8 +863,8 @@ func (s *Scheduler) pass(now sim.Time) {
 		// leave it queued — a later event may change the machine.
 		return
 	}
-	if s.resJob != head.ID || s.resTime != resTime {
-		s.resJob, s.resTime = head.ID, resTime
+	if s.acct.ResJob != head.ID || s.acct.ResTime != resTime {
+		s.acct.ResJob, s.acct.ResTime = head.ID, resTime
 		s.tracer.Trace(obs.Event{Time: now, Kind: obs.EvReserve, Job: head.ID,
 			Partition: resPart.Name, Nodes: head.Nodes, Detail: float64(resTime)})
 	}
@@ -1016,16 +1059,16 @@ func (s *Scheduler) start(j *job.Job, p *cluster.Partition, now sim.Time, backfi
 	j.Started = true
 	j.Start = now
 	j.Partition = p.Name
-	s.started++
+	s.acct.Started++
 	kind := obs.EvStart
 	if backfill {
-		s.backfilled++
+		s.acct.Backfilled++
 		kind = obs.EvBackfillStart
 	}
 	s.tracer.Trace(obs.Event{Time: now, Kind: kind, Job: j.ID, Partition: p.Name,
 		Nodes: j.Nodes, Detail: float64(now - j.Submit)})
-	if j.ID == s.resJob {
-		s.resJob = -1
+	if j.ID == s.acct.ResJob {
+		s.acct.ResJob = -1
 		s.tracer.Trace(obs.Event{Time: now, Kind: obs.EvReserveClear, Job: j.ID, Partition: p.Name})
 	}
 	end := now + s.attemptRuntime(j)
@@ -1075,12 +1118,12 @@ func (s *Scheduler) finish(rj *runningJob, now sim.Time) {
 	s.dropRelease(rj)
 	j.Completed = true
 	j.End = now
-	s.done++
-	s.nodeHrs[rj.p.Name] += float64(j.Nodes) * (now - j.Start).Hours()
+	s.acct.Done++
+	s.acct.NodeHours[rj.p.Name] += float64(j.Nodes) * (now - j.Start).Hours()
 	s.tracer.Trace(obs.Event{Time: now, Kind: obs.EvFinish, Job: j.ID, Partition: rj.p.Name,
 		Nodes: j.Nodes, Detail: float64(j.Wait())})
-	if now > s.lastEnd {
-		s.lastEnd = now
+	if now > s.acct.LastEnd {
+		s.acct.LastEnd = now
 	}
 	s.requestPass(now)
 }
@@ -1112,8 +1155,8 @@ func (s *Scheduler) kill(rj *runningJob, now sim.Time) {
 	s.dropRelease(rj)
 	// Account the attempt's node-hours to the partition (it did consume
 	// power) whether or not the work survives.
-	s.nodeHrs[rj.p.Name] += float64(j.Nodes) * (now - j.Start).Hours()
-	s.killed++
+	s.acct.NodeHours[rj.p.Name] += float64(j.Nodes) * (now - j.Start).Hours()
+	s.acct.Killed++
 	s.tracer.Trace(obs.Event{Time: now, Kind: obs.EvKill, Job: j.ID, Partition: rj.p.Name,
 		Nodes: j.Nodes, Detail: float64(now - j.Start)})
 	if iv := s.cfg.CheckpointInterval; iv > 0 {
@@ -1131,7 +1174,7 @@ func (s *Scheduler) kill(rj *runningJob, now sim.Time) {
 	inj := s.cfg.Faults
 	if inj != nil && inj.Abandon(j.Requeues) {
 		j.Abandoned = true
-		s.abandoned++
+		s.acct.Abandoned++
 		if len(s.queueAt) > 0 {
 			delete(s.queueAt, j.ID)
 		}
@@ -1140,7 +1183,7 @@ func (s *Scheduler) kill(rj *runningJob, now sim.Time) {
 		s.cfg.Log.Debug("job abandoned", "sim_hours", now.Hours(), "job", j.ID, "requeues", j.Requeues)
 		return
 	}
-	s.requeued++
+	s.acct.Requeued++
 	s.tracer.Trace(obs.Event{Time: now, Kind: obs.EvRequeue, Job: j.ID,
 		Nodes: j.Nodes, Detail: float64(j.Requeues)})
 	var delay sim.Duration
@@ -1155,8 +1198,8 @@ func (s *Scheduler) kill(rj *runningJob, now sim.Time) {
 	}
 	if delay > 0 {
 		// Backoff: the job re-enters the queue only after the delay.
-		s.backoff++
-		s.schedule(pendingEvent{Kind: evRequeue, At: now + delay, Prio: sim.PrioArrival, Job: j.ID})
+		s.acct.Backoff++
+		s.schedule(pendingEvent{Kind: evRequeue, At: now + delay, Prio: sim.PrioRequeue, Job: j.ID})
 		return
 	}
 	s.enqueue(j)
@@ -1173,7 +1216,7 @@ func (s *Scheduler) nodeFail(p *cluster.Partition, o faults.Outage, now sim.Time
 		return
 	}
 	s.failOffline[p.Name] += n
-	s.nodeFailures++
+	s.acct.NodeFailures++
 	s.tracer.Trace(obs.Event{Time: now, Kind: obs.EvNodeFail, Job: -1, Partition: p.Name,
 		Nodes: n, Detail: float64(o.Repair)})
 	s.cfg.Log.Debug("nodes failed", "sim_hours", now.Hours(), "partition", p.Name,
@@ -1217,7 +1260,7 @@ func (s *Scheduler) windowFateEnd(p *cluster.Partition, f faults.WindowFate, now
 		surviving = 0
 	}
 	if f.Brownout() {
-		s.brownouts++
+		s.acct.Brownouts++
 		s.tracer.Trace(obs.Event{Time: now, Kind: obs.EvBrownout, Job: -1, Partition: p.Name,
 			Nodes: surviving, Detail: float64(surviving) / float64(p.Nodes)})
 		s.cfg.Log.Debug("brownout", "sim_hours", now.Hours(), "partition", p.Name,
@@ -1386,20 +1429,6 @@ func (s *Scheduler) extraNodesAt(p *cluster.Partition, resTime sim.Time, reserve
 		extra = 0
 	}
 	return extra
-}
-
-// Jobs returns every submitted job, ascending by ID, with whatever
-// outcome state the run has produced so far. Restored runs own their
-// job copies (deserialized from the snapshot), so callers that need
-// outcomes after a resumed run read them here rather than from the
-// original trace.
-func (s *Scheduler) Jobs() []*job.Job {
-	out := make([]*job.Job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		out = append(out, j)
-	}
-	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
-	return out
 }
 
 // QueueLen returns the current queue length (for tests and monitoring).

@@ -554,3 +554,38 @@ func TestQueueAccessors(t *testing.T) {
 		t.Error("fresh scheduler should be empty")
 	}
 }
+
+// TestSubmitBeforeNowRefused: once the run has started, a job submitted
+// before the clock is refused and leaves the scheduler unchanged. A job
+// submitted later, ahead of the pending arrival, still arrives first.
+func TestSubmitBeforeNowRefused(t *testing.T) {
+	s := mustNew(t, Config{Machine: singleMachine(4), Oracle: true, Check: true})
+	early, late := mkJob(1, 0, 100, 1), mkJob(2, 500, 100, 1)
+	for _, j := range []*job.Job{early, late} {
+		if err := s.Submit(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.cfg.StopAt = 200
+	if _, err := s.Run(1e4); err != ErrInterrupted {
+		t.Fatalf("err = %v, want ErrInterrupted", err)
+	}
+	now := s.eng.Now()
+	if now == 0 {
+		t.Fatal("the run has not started")
+	}
+	if err := s.Submit(mkJob(3, now-1, 100, 1)); err == nil {
+		t.Fatalf("job submitted at %v accepted with the clock at %v", now-1, now)
+	}
+	mid := mkJob(3, now+50, 100, 1) // same ID: the refusal registered nothing
+	if err := s.Submit(mid); err != nil {
+		t.Fatal(err)
+	}
+	s.cfg.StopAt = 0
+	if res := mustRun(t, s, 1e4); res.Completed != 3 {
+		t.Fatalf("completed %d jobs, want 3", res.Completed)
+	}
+	if mid.Start != now+50 || late.Start != 500 {
+		t.Errorf("starts: job 3 at %v, job 2 at %v; want %v and 500", mid.Start, late.Start, now+50)
+	}
+}

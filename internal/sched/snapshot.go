@@ -3,18 +3,23 @@
 // The scheduler's engine is a sim.Engine[pendingEvent]: every pending
 // event is a plain serializable descriptor, and RunContext dispatches
 // each one it pops through exec, which switches on its Kind. A snapshot
-// is then the engine's counters plus the pending descriptors in dispatch
-// order; restore re-schedules them in that exact order on a fresh
-// engine, which reassigns insertion sequences 0..n-1 and so preserves
-// every same-instant tie-break. The continuation of a restored run is
-// byte-identical to the uninterrupted run (pinned by TestSnapshotRoundTrip).
+// is then the engine's counters, the jobs that have arrived, and the
+// pending descriptors in dispatch order; restore lays those jobs over
+// the caller's trace and re-schedules the descriptors in that exact
+// order on a fresh engine, which reassigns insertion sequences 0..n-1
+// and so preserves every same-instant tie-break. Jobs yet to arrive stay
+// in the trace, with at most one arrival event pending. The continuation
+// of a restored run is byte-identical to the uninterrupted run (pinned
+// by TestSnapshotRoundTrip).
 package sched
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 
 	"zccloud/internal/availability"
@@ -22,12 +27,32 @@ import (
 	"zccloud/internal/faults"
 	"zccloud/internal/job"
 	"zccloud/internal/obs"
+	"zccloud/internal/persist"
 	"zccloud/internal/sim"
 )
 
 // SnapshotVersion identifies the snapshot wire format. Restore refuses a
 // snapshot written by a different version.
-const SnapshotVersion = 1
+const SnapshotVersion = 2
+
+// snapshotFileKind tags snapshot files written by SaveSnapshot.
+const snapshotFileKind = "zccloud-snapshot"
+
+// SaveSnapshot writes snap to path atomically, wrapped in a checksummed,
+// versioned envelope.
+func SaveSnapshot(path string, snap *Snapshot) error {
+	return persist.SaveJSON(path, snapshotFileKind, SnapshotVersion, snap)
+}
+
+// LoadSnapshot reads a snapshot written by SaveSnapshot, verifying kind,
+// version and checksum.
+func LoadSnapshot(path string) (*Snapshot, error) {
+	snap := new(Snapshot)
+	if err := persist.LoadJSON(path, snapshotFileKind, SnapshotVersion, snap); err != nil {
+		return nil, err
+	}
+	return snap, nil
+}
 
 // eventKind discriminates pendingEvent descriptors. String-valued so
 // snapshots stay self-describing.
@@ -74,14 +99,14 @@ func (s *Scheduler) schedule(pe pendingEvent) sim.Handle {
 func (s *Scheduler) exec(pe pendingEvent, now sim.Time) {
 	switch pe.Kind {
 	case evArrival:
-		j := s.jobs[pe.Job]
-		if j == nil {
-			s.fail(fmt.Errorf("sched: arrival event for unknown job %d", pe.Job))
+		if s.arrived == len(s.arrivals) || s.arrivals[s.arrived].ID != pe.Job {
+			s.fail(fmt.Errorf("sched: arrival event for job %d, which is not next to arrive", pe.Job))
 			return
 		}
-		s.arrive(j, now)
+		s.arrive(s.arrivals[s.arrived], now)
+		s.scheduleArrival()
 	case evPass:
-		s.passSet = false
+		s.acct.PassSet = false
 		s.pass(now)
 	case evFinish:
 		rj := s.running[pe.Job]
@@ -96,7 +121,7 @@ func (s *Scheduler) exec(pe pendingEvent, now sim.Time) {
 			s.fail(fmt.Errorf("sched: requeue event for unknown job %d", pe.Job))
 			return
 		}
-		s.backoff--
+		s.acct.Backoff--
 		s.enqueue(j)
 		s.requestPass(now)
 	case evWindowUp:
@@ -163,24 +188,24 @@ func (s *Scheduler) fail(err error) {
 	}
 }
 
-// Snapshot is the complete serializable state of a paused scheduler: the
-// engine accounting, every submitted job, the wait queue, the running
+// Snapshot is the serializable state of a paused scheduler: the engine
+// accounting, the jobs that have arrived, the wait queue, the running
 // set, partition allocation state, fault-layer bookkeeping, and the
-// pending event queue in dispatch order. Restoring it into a fresh
-// scheduler built from an equivalent Config continues the run
-// byte-identically.
+// pending event queue in dispatch order. Jobs yet to arrive are not in
+// it: restoring it into a fresh scheduler built from an equivalent
+// Config and the same trace continues the run byte-identically.
 type Snapshot struct {
 	Version     int      `json:"version"`
-	Fingerprint string   `json:"fingerprint"` // run-configuration digest; Restore refuses a mismatch
+	Fingerprint string   `json:"fingerprint"` // run-configuration and trace digest; Restore refuses a mismatch
 	Deadline    sim.Time `json:"deadline"`
 
 	Engine     sim.State        `json:"engine"`
-	Jobs       []job.Job        `json:"jobs"`    // every submitted job, ascending ID
+	Jobs       []job.Job        `json:"jobs"`    // the jobs that have arrived, in arrival order
 	Queue      []int            `json:"queue"`   // wait queue as job IDs, in queue order
 	Running    []runningRec     `json:"running"` // running set, ascending job ID
 	Partitions []partitionState `json:"partitions"`
 	Pending    []pendingEvent   `json:"pending"` // engine queue in dispatch order
-	Counters   snapCounters     `json:"counters"`
+	Counters   counters         `json:"counters"`
 
 	// Fault-layer state; empty maps on fault-free runs.
 	QueueAt       map[int]sim.Time `json:"queue_at,omitempty"`
@@ -203,32 +228,6 @@ type partitionState struct {
 	Offline int    `json:"offline"`
 }
 
-// snapCounters carries the scheduler's scalar accounting.
-type snapCounters struct {
-	Total        int                `json:"total"`
-	Arrived      int                `json:"arrived"`
-	Backoff      int                `json:"backoff"`
-	Done         int                `json:"done"`
-	Unrun        int                `json:"unrun"`
-	Passes       int                `json:"passes"`
-	Started      int                `json:"started"`
-	Backfilled   int                `json:"backfilled"`
-	Killed       int                `json:"killed"`
-	Requeued     int                `json:"requeued"`
-	Pinned       int                `json:"pinned"`
-	PeakQueue    int                `json:"peak_queue"`
-	Abandoned    int                `json:"abandoned"`
-	NodeFailures int                `json:"node_failures"`
-	Brownouts    int                `json:"brownouts"`
-	NodeHours    map[string]float64 `json:"node_hours,omitempty"`
-	PassAt       sim.Time           `json:"pass_at"`
-	PassSet      bool               `json:"pass_set"`
-	LastEnd      sim.Time           `json:"last_end"`
-	Checked      sim.Time           `json:"checked"`
-	ResJob       int                `json:"res_job"`
-	ResTime      sim.Time           `json:"res_time"`
-}
-
 // Snapshot captures the scheduler's full state at the current event
 // boundary. It validates invariants first — a snapshot of a corrupted
 // scheduler would poison every resumed run — and emits a checkpoint-save
@@ -249,35 +248,12 @@ func (s *Scheduler) Snapshot() (*Snapshot, error) {
 		Fingerprint: fp,
 		Deadline:    s.deadline,
 		Engine:      s.eng.CaptureState(),
-		Counters: snapCounters{
-			Total:        s.total,
-			Arrived:      s.arrived,
-			Backoff:      s.backoff,
-			Done:         s.done,
-			Unrun:        s.unrun,
-			Passes:       s.passes,
-			Started:      s.started,
-			Backfilled:   s.backfilled,
-			Killed:       s.killed,
-			Requeued:     s.requeued,
-			Pinned:       s.pinned,
-			PeakQueue:    s.peakQueue,
-			Abandoned:    s.abandoned,
-			NodeFailures: s.nodeFailures,
-			Brownouts:    s.brownouts,
-			NodeHours:    s.nodeHrs,
-			PassAt:       s.passAt,
-			PassSet:      s.passSet,
-			LastEnd:      s.lastEnd,
-			Checked:      s.checked,
-			ResJob:       s.resJob,
-			ResTime:      s.resTime,
-		},
+		Counters:    s.acct,
 	}
-	for _, j := range s.jobs {
-		snap.Jobs = append(snap.Jobs, *j)
+	snap.Jobs = make([]job.Job, s.arrived)
+	for i, j := range s.arrivals[:s.arrived] {
+		snap.Jobs[i] = *j
 	}
-	sort.Slice(snap.Jobs, func(i, k int) bool { return snap.Jobs[i].ID < snap.Jobs[k].ID })
 	for _, j := range s.queue {
 		snap.Queue = append(snap.Queue, j.ID)
 	}
@@ -309,13 +285,16 @@ func (s *Scheduler) Snapshot() (*Snapshot, error) {
 	return snap, nil
 }
 
-// Restore builds a scheduler resuming from snap. cfg must describe the
-// same run the snapshot was taken from (same machine, policy and fault
-// model): Restore verifies the configuration fingerprint and refuses a
-// mismatched or version-skewed snapshot rather than silently mixing
-// runs. Call Run with the original deadline to continue; the
-// continuation is byte-identical to the uninterrupted run.
-func Restore(cfg Config, snap *Snapshot) (*Scheduler, error) {
+// Restore builds a scheduler resuming from snap over the trace tr. cfg
+// and tr must describe the same run the snapshot was taken from (same
+// machine, policy, fault model and jobs): Restore verifies the
+// fingerprint and refuses a mismatched or version-skewed snapshot rather
+// than silently mixing runs. The saved state of the jobs that had
+// arrived is copied onto tr's jobs, whose outcomes the continued run
+// records as a straight run would. Call Run with the original deadline
+// to continue; the continuation is byte-identical to the uninterrupted
+// run.
+func Restore(cfg Config, tr *job.Trace, snap *Snapshot) (*Scheduler, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("sched: nil snapshot")
 	}
@@ -327,40 +306,40 @@ func Restore(cfg Config, snap *Snapshot) (*Scheduler, error) {
 	if err != nil {
 		return nil, err
 	}
+	for _, j := range bySubmit(tr) {
+		if _, err := s.add(j); err != nil {
+			return nil, err
+		}
+	}
 	s.deadline = snap.Deadline
 	fp, err := s.fingerprint(snap.Deadline)
 	if err != nil {
 		return nil, err
 	}
 	if fp != snap.Fingerprint {
-		return nil, fmt.Errorf("sched: snapshot fingerprint %.12s does not match this configuration (%.12s): refusing to resume a different run",
+		return nil, fmt.Errorf("sched: snapshot fingerprint %.12s does not match this configuration and trace (%.12s): refusing to resume a different run",
 			snap.Fingerprint, fp)
 	}
 	if err := s.eng.RestoreState(snap.Engine); err != nil {
 		return nil, err
 	}
 
-	c := snap.Counters
-	s.total, s.arrived, s.backoff = c.Total, c.Arrived, c.Backoff
-	s.done, s.unrun, s.passes = c.Done, c.Unrun, c.Passes
-	s.started, s.backfilled = c.Started, c.Backfilled
-	s.killed, s.requeued = c.Killed, c.Requeued
-	s.pinned, s.peakQueue = c.Pinned, c.PeakQueue
-	s.abandoned, s.nodeFailures, s.brownouts = c.Abandoned, c.NodeFailures, c.Brownouts
-	s.passAt, s.passSet = c.PassAt, c.PassSet
-	s.lastEnd, s.checked = c.LastEnd, c.Checked
-	s.resJob, s.resTime = c.ResJob, c.ResTime
-	if c.NodeHours != nil {
-		s.nodeHrs = c.NodeHours
+	s.acct = snap.Counters
+	if s.acct.NodeHours == nil {
+		s.acct.NodeHours = make(map[string]float64)
 	}
 
-	for i := range snap.Jobs {
-		cp := snap.Jobs[i]
-		if _, dup := s.jobs[cp.ID]; dup {
-			return nil, fmt.Errorf("sched: snapshot repeats job %d", cp.ID)
-		}
-		s.jobs[cp.ID] = &cp
+	if len(snap.Jobs) > len(s.arrivals) {
+		return nil, fmt.Errorf("sched: snapshot has %d arrived jobs, the trace %d", len(snap.Jobs), len(s.arrivals))
 	}
+	for i := range snap.Jobs {
+		j := s.arrivals[i]
+		if j.ID != snap.Jobs[i].ID {
+			return nil, fmt.Errorf("sched: snapshot's arrival %d is job %d, the trace's is job %d", i, snap.Jobs[i].ID, j.ID)
+		}
+		*j = snap.Jobs[i]
+	}
+	s.arrived = len(snap.Jobs)
 	for _, id := range snap.Queue {
 		j := s.jobs[id]
 		if j == nil {
@@ -406,21 +385,25 @@ func Restore(cfg Config, snap *Snapshot) (*Scheduler, error) {
 	// Re-schedule the pending queue in dispatch order: fresh insertion
 	// sequences 0..n-1 reproduce every same-instant tie-break. Finish
 	// events re-attach to their running job so a later kill can cancel
-	// them.
+	// them, and the arrival event to the scheduler so an earlier Submit
+	// can replace it.
 	for _, pe := range snap.Pending {
 		ev := s.schedule(pe)
-		if pe.Kind == evFinish {
+		switch pe.Kind {
+		case evFinish:
 			rj := s.running[pe.Job]
 			if rj == nil {
 				return nil, fmt.Errorf("sched: snapshot has a finish event for job %d that is not running", pe.Job)
 			}
 			rj.end = ev
+		case evArrival:
+			s.arrival = ev
 		}
 	}
 	if err := s.eng.Err(); err != nil {
 		return nil, fmt.Errorf("sched: restoring pending events: %w", err)
 	}
-	s.restored = true
+	s.availScheduled = true
 
 	if err := s.CheckInvariants(); err != nil {
 		return nil, fmt.Errorf("sched: restored state is inconsistent: %w", err)
@@ -436,9 +419,9 @@ func Restore(cfg Config, snap *Snapshot) (*Scheduler, error) {
 
 // fingerprint digests everything that must match between the snapshotting
 // run and the resuming run: machine shape, materialized availability
-// windows, queue policy and admission flags, checkpoint model, and the
-// fault configuration. Tracer/metrics/progress wiring is deliberately
-// excluded — observability may differ across resume.
+// windows, queue policy and admission flags, checkpoint model, the fault
+// configuration, and the trace. Tracer/metrics/progress wiring is
+// deliberately excluded — observability may differ across resume.
 func (s *Scheduler) fingerprint(deadline sim.Time) (string, error) {
 	type partFP struct {
 		Name    string
@@ -459,6 +442,7 @@ func (s *Scheduler) fingerprint(deadline sim.Time) (string, error) {
 		Faults             *faults.Config
 		Deadline           sim.Time
 		Partitions         []partFP
+		Trace              string
 	}{
 		Version:            SnapshotVersion,
 		Policy:             s.cfg.Policy.String(),
@@ -471,6 +455,7 @@ func (s *Scheduler) fingerprint(deadline sim.Time) (string, error) {
 		CheckpointOverhead: s.cfg.CheckpointOverhead,
 		HasClassify:        s.cfg.Classify != nil,
 		Deadline:           deadline,
+		Trace:              s.traceDigest(),
 	}
 	if s.cfg.Faults != nil {
 		fc := s.cfg.Faults.Config()
@@ -489,4 +474,21 @@ func (s *Scheduler) fingerprint(deadline sim.Time) (string, error) {
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:]), nil
+}
+
+// traceDigest digests the submitted jobs in arrival order: each job's ID,
+// submission time, runtime, request and node count. Outcome fields are
+// left out, so the digest is the same before, during and after a run.
+func (s *Scheduler) traceDigest() string {
+	h := sha256.New()
+	b := make([]byte, 0, 40)
+	for _, j := range s.arrivals {
+		b = binary.LittleEndian.AppendUint64(b[:0], uint64(j.ID))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(float64(j.Submit)))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(float64(j.Runtime)))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(float64(j.Request)))
+		b = binary.LittleEndian.AppendUint64(b, uint64(j.Nodes))
+		h.Write(b)
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }

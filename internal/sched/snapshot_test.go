@@ -10,6 +10,7 @@ import (
 	"zccloud/internal/availability"
 	"zccloud/internal/cluster"
 	"zccloud/internal/faults"
+	"zccloud/internal/job"
 	"zccloud/internal/obs"
 	"zccloud/internal/sim"
 	"zccloud/internal/tracebin"
@@ -47,14 +48,32 @@ func snapWorld(t *testing.T, faulted bool, tr obs.Tracer) Config {
 	return cfg
 }
 
+// snapTrace is the scenario's 40 jobs, fresh on every call.
+func snapTrace() *job.Trace {
+	tr := &job.Trace{}
+	for i := 0; i < 40; i++ {
+		tr.Jobs = append(tr.Jobs, mkJob(i+1, sim.Time(i*137%3000), sim.Time(100+(i*271)%700), 1+i%16))
+	}
+	return tr
+}
+
 func snapJobs(s *Scheduler, t *testing.T) {
 	t.Helper()
-	for i := 0; i < 40; i++ {
-		j := mkJob(i+1, sim.Time(i*137%3000), sim.Time(100+(i*271)%700), 1+i%16)
-		if err := s.Submit(j); err != nil {
-			t.Fatal(err)
-		}
+	if err := s.LoadTrace(snapTrace()); err != nil {
+		t.Fatal(err)
 	}
+}
+
+// unrunTrace returns fresh copies of the jobs submitted to s, in arrival
+// order: the trace a caller rebuilds to resume s from a snapshot.
+func unrunTrace(s *Scheduler) *job.Trace {
+	tr := &job.Trace{}
+	for _, j := range s.arrivals {
+		cp := *j
+		cp.Reset()
+		tr.Jobs = append(tr.Jobs, &cp)
+	}
+	return tr
 }
 
 // stripCheckpointMarkers removes checkpoint-save/restore records from a
@@ -107,7 +126,7 @@ func roundTrip(t *testing.T, faulted bool, deadline sim.Time, stops []sim.Time) 
 			t.Fatal(err)
 		}
 		cfg = snapWorld(t, faulted, tr)
-		s, err = Restore(cfg, &parsed)
+		s, err = Restore(cfg, snapTrace(), &parsed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +207,7 @@ func TestSnapshotEmitsMarkers(t *testing.T) {
 	if len(tr.Filter(obs.EvCheckpointSave)) != 1 {
 		t.Error("no checkpoint-save event traced")
 	}
-	if _, err := Restore(snapWorld(t, false, tr), snap); err != nil {
+	if _, err := Restore(snapWorld(t, false, tr), snapTrace(), snap); err != nil {
 		t.Fatal(err)
 	}
 	if len(tr.Filter(obs.EvCheckpointRestore)) != 1 {
@@ -210,7 +229,7 @@ func TestRestoreRejectsVersionSkew(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap.Version = SnapshotVersion + 1
-	if _, err := Restore(snapWorld(t, false, nil), snap); err == nil ||
+	if _, err := Restore(snapWorld(t, false, nil), snapTrace(), snap); err == nil ||
 		!strings.Contains(err.Error(), "version") {
 		t.Fatalf("restore of version-skewed snapshot: err = %v, want version error", err)
 	}
@@ -232,8 +251,99 @@ func TestRestoreRejectsConfigMismatch(t *testing.T) {
 	}
 	other := snapWorld(t, false, nil)
 	other.Oracle = true
-	if _, err := Restore(other, snap); err == nil || !strings.Contains(err.Error(), "fingerprint") {
+	if _, err := Restore(other, snapTrace(), snap); err == nil || !strings.Contains(err.Error(), "fingerprint") {
 		t.Fatalf("restore under flipped config: err = %v, want fingerprint error", err)
+	}
+}
+
+// TestRestoreRejectsDifferentTrace: the trace is part of the
+// fingerprint, so resuming over a trace with one job's runtime changed,
+// or one job dropped, is refused instead of mixing two workloads. Both
+// edits touch jobs that had not arrived when the snapshot was taken.
+func TestRestoreRejectsDifferentTrace(t *testing.T) {
+	s := mustNew(t, snapWorld(t, false, nil))
+	snapJobs(s, t)
+	s.cfg.StopAt = 900
+	if _, err := s.Run(1e6); err != ErrInterrupted {
+		t.Fatalf("err = %v, want ErrInterrupted", err)
+	}
+	snap, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	changed := snapTrace()
+	last := changed.Jobs[len(changed.Jobs)-1]
+	if last.Submit <= s.cfg.StopAt {
+		t.Fatalf("job %d arrived before the snapshot; the edit would not test the unarrived trace", last.ID)
+	}
+	last.Runtime--
+	dropped := snapTrace()
+	dropped.Jobs = dropped.Jobs[:len(dropped.Jobs)-1]
+	for name, tr := range map[string]*job.Trace{"runtime changed": changed, "job dropped": dropped} {
+		if _, err := Restore(snapWorld(t, false, nil), tr, snap); err == nil || !strings.Contains(err.Error(), "fingerprint") {
+			t.Errorf("restore with %s: err = %v, want fingerprint error", name, err)
+		}
+	}
+	if _, err := Restore(snapWorld(t, false, nil), snapTrace(), snap); err != nil {
+		t.Fatalf("restore over the same trace: %v", err)
+	}
+}
+
+// TestSnapshotHoldsOnlyArrivedJobs: a snapshot at StopAt serializes the
+// jobs that have arrived and one pending arrival, the next job's; the
+// rest of the trace stays with the caller.
+func TestSnapshotHoldsOnlyArrivedJobs(t *testing.T) {
+	const stop = 900
+	s := mustNew(t, snapWorld(t, false, nil))
+	tr := snapTrace()
+	if err := s.LoadTrace(tr); err != nil {
+		t.Fatal(err)
+	}
+	s.cfg.StopAt = stop
+	if _, err := s.Run(1e6); err != ErrInterrupted {
+		t.Fatalf("err = %v, want ErrInterrupted", err)
+	}
+	snap, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var parsed Snapshot
+	if err := json.Unmarshal(blob, &parsed); err != nil {
+		t.Fatal(err)
+	}
+
+	arrived := map[int]bool{}
+	var next *job.Job // the first job yet to arrive
+	for _, j := range tr.Jobs {
+		if j.Submit <= stop {
+			arrived[j.ID] = true
+		} else if next == nil || j.Submit < next.Submit {
+			next = j
+		}
+	}
+	if len(arrived) == 0 || next == nil {
+		t.Fatalf("%d of %d jobs arrived by %v; the stop does not split the trace", len(arrived), len(tr.Jobs), stop)
+	}
+	if len(parsed.Jobs) != len(arrived) {
+		t.Errorf("snapshot holds %d jobs, %d have arrived", len(parsed.Jobs), len(arrived))
+	}
+	for _, j := range parsed.Jobs {
+		if !arrived[j.ID] {
+			t.Errorf("snapshot holds job %d, which arrives at %v", j.ID, j.Submit)
+		}
+	}
+	var arrivals []pendingEvent
+	for _, pe := range parsed.Pending {
+		if pe.Kind == evArrival {
+			arrivals = append(arrivals, pe)
+		}
+	}
+	if len(arrivals) != 1 || arrivals[0].Job != next.ID {
+		t.Errorf("pending arrivals = %+v, want one for job %d", arrivals, next.ID)
 	}
 }
 
@@ -250,7 +360,7 @@ func TestRestoreRejectsRewoundDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Restore(snapWorld(t, false, nil), snap)
+	r, err := Restore(snapWorld(t, false, nil), snapTrace(), snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +400,7 @@ func TestInvariantCatchesCorruption(t *testing.T) {
 		corrupt func(s *Scheduler)
 		want    string // invariant name
 	}{
-		{"lost-job", func(s *Scheduler) { s.done++ }, "conservation"},
+		{"lost-job", func(s *Scheduler) { s.acct.Done++ }, "conservation"},
 		{"double-queue", func(s *Scheduler) { s.queue = append(s.queue, s.queue[0]) }, "exclusivity"},
 		{"queue-disorder", func(s *Scheduler) {
 			s.queue[0], s.queue[len(s.queue)-1] = s.queue[len(s.queue)-1], s.queue[0]
@@ -300,7 +410,7 @@ func TestInvariantCatchesCorruption(t *testing.T) {
 				panic(err)
 			}
 		}, "capacity"},
-		{"clock-rewind", func(s *Scheduler) { s.checked = s.eng.Now() + 1000 }, "monotone-time"},
+		{"clock-rewind", func(s *Scheduler) { s.acct.Checked = s.eng.Now() + 1000 }, "monotone-time"},
 		{"release-disorder", func(s *Scheduler) {
 			rels := busiestIndex(s)
 			rels[0], rels[1] = rels[1], rels[0]
@@ -371,7 +481,7 @@ func TestCheckStopsRunOnCorruption(t *testing.T) {
 	if _, err := s.Run(1e6); err != ErrInterrupted {
 		t.Fatalf("err = %v, want ErrInterrupted", err)
 	}
-	s.done++ // corrupt: a job completion that never happened
+	s.acct.Done++ // corrupt: a job completion that never happened
 	s.cfg.StopAt = 0
 	_, err := s.Run(1e6)
 	if _, ok := err.(*InvariantViolation); !ok {

@@ -354,7 +354,7 @@ func (s *Server) park(r *run, snap *sched.Snapshot, sink *tracebin.File, tracePa
 	saved := ""
 	if snap != nil && s.cfg.DataDir != "" {
 		path := filepath.Join(s.cfg.DataDir, r.id+".snapshot.json")
-		if err := persist.SaveJSON(path, snapshotFileKind, sched.SnapshotVersion, snap); err != nil {
+		if err := sched.SaveSnapshot(path, snap); err != nil {
 			r.log.Error("park: snapshot save failed; keeping it in memory", "err", err.Error())
 		} else {
 			saved = path
@@ -432,11 +432,11 @@ func (s *Server) takeResume(r *run) (*sched.Snapshot, error) {
 	if path == "" {
 		return nil, nil
 	}
-	var out sched.Snapshot
-	if err := persist.LoadJSON(path, snapshotFileKind, sched.SnapshotVersion, &out); err != nil {
+	snap, err := sched.LoadSnapshot(path)
+	if err != nil {
 		return nil, fmt.Errorf("serve: loading park snapshot: %v", err)
 	}
-	return &out, nil
+	return snap, nil
 }
 
 // powerStatusFor assembles the /status power block from the live

@@ -76,10 +76,6 @@ var (
 	errKilled          = errors.New("server killed")
 )
 
-// snapshotFileKind matches the envelope kind zccsim writes, so a
-// checkpoint parked by a draining zccd resumes with `zccsim -restore`.
-const snapshotFileKind = "zccloud-snapshot"
-
 // drainHardWait bounds the post-interrupt wait for workers during
 // drain. Interrupted schedulers stop within one event stride and a
 // snapshot save is milliseconds, so hitting this means a worker wedged.
@@ -603,17 +599,17 @@ func (s *Server) execute(r *run) {
 			defer sink.Abort()
 			o.Tracer = sink
 		}
+		var cfg core.RunConfig
+		cfg, err = r.spec.runConfig(o)
+		if err != nil {
+			s.finish(r, StateFailed, err.Error(), nil, nil)
+			return
+		}
 		if snap != nil {
-			// A parked run resumes from its checkpoint: the snapshot
-			// carries job state, so only the system config is rebuilt.
-			m, err = core.ResumeContext(ctx, core.RunConfig{System: r.spec.systemConfig(), Obs: o}, snap)
+			// A parked run resumes from its checkpoint over the trace
+			// its spec regenerates.
+			m, err = core.ResumeContext(ctx, cfg, snap)
 		} else {
-			var cfg core.RunConfig
-			cfg, err = r.spec.runConfig(o)
-			if err != nil {
-				s.finish(r, StateFailed, err.Error(), nil, nil)
-				return
-			}
 			m, err = core.RunContext(ctx, cfg)
 		}
 	}

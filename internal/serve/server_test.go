@@ -355,8 +355,8 @@ func TestDrainCheckpointsAndResumes(t *testing.T) {
 
 	// The parked snapshot resumes — under the same system config — to
 	// exactly the uninterrupted run's metrics.
-	snap := new(sched.Snapshot)
-	if err := persist.LoadJSON(final.Checkpoint, snapshotFileKind, sched.SnapshotVersion, snap); err != nil {
+	snap, err := sched.LoadSnapshot(final.Checkpoint)
+	if err != nil {
 		t.Fatalf("loading checkpoint: %v", err)
 	}
 	resumeCfg, err := spec.runConfig(obs.Options{})

@@ -268,8 +268,7 @@ func TestSoakEveryStateReachable(t *testing.T) {
 	}
 	// The parked snapshot file is a well-formed checksummed envelope.
 	if info, _ := s.Get(parkMe.ID); info.State == StateCheckpointed {
-		snap := new(sched.Snapshot)
-		if err := persist.LoadJSON(info.Checkpoint, snapshotFileKind, sched.SnapshotVersion, snap); err != nil {
+		if _, err := sched.LoadSnapshot(info.Checkpoint); err != nil {
 			t.Errorf("checkpoint unreadable: %v", err)
 		}
 	}

@@ -218,29 +218,10 @@ func (sp Spec) faultConfig() *faults.Config {
 	return fc
 }
 
-// systemConfig builds the simulated-system half of a run config. The
-// resume path (power-parked runs restarting from a snapshot) reuses it
-// without regenerating the workload — the snapshot carries job state.
-func (sp Spec) systemConfig() core.SystemConfig {
-	var zc availability.Model
-	if sp.ZCFactor > 0 {
-		if sp.ZCDuty >= 1 {
-			zc = availability.AlwaysOn{}
-		} else {
-			zc = availability.NewPeriodic(sp.ZCDuty, sim.Time(sp.ZCPhaseHours)*sim.Hour)
-		}
-	}
-	return core.SystemConfig{
-		MiraNodes: sp.MiraNodes,
-		ZCFactor:  sp.ZCFactor,
-		ZCAvail:   zc,
-		NonOracle: sp.KillRequeue,
-		Faults:    sp.faultConfig(),
-	}
-}
-
 // runConfig turns a (defaulted, validated) simulation spec into a
-// core.RunConfig, generating its workload.
+// core.RunConfig, generating its workload. A fresh run and a resumed one
+// build the same config: the resume's snapshot is fingerprinted against
+// this trace.
 func (sp Spec) runConfig(o obs.Options) (core.RunConfig, error) {
 	tr, err := workload.Generate(workload.Config{
 		Seed:              sp.Seed,
@@ -252,10 +233,24 @@ func (sp Spec) runConfig(o obs.Options) (core.RunConfig, error) {
 	if err != nil {
 		return core.RunConfig{}, fmt.Errorf("serve: generating workload: %w", err)
 	}
+	var zc availability.Model
+	if sp.ZCFactor > 0 {
+		if sp.ZCDuty >= 1 {
+			zc = availability.AlwaysOn{}
+		} else {
+			zc = availability.NewPeriodic(sp.ZCDuty, sim.Time(sp.ZCPhaseHours)*sim.Hour)
+		}
+	}
 	o.Check = o.Check || sp.Check
 	return core.RunConfig{
-		Trace:  tr,
-		System: sp.systemConfig(),
-		Obs:    o,
+		Trace: tr,
+		System: core.SystemConfig{
+			MiraNodes: sp.MiraNodes,
+			ZCFactor:  sp.ZCFactor,
+			ZCAvail:   zc,
+			NonOracle: sp.KillRequeue,
+			Faults:    sp.faultConfig(),
+		},
+		Obs: o,
 	}, nil
 }

@@ -41,7 +41,8 @@ const (
 	PrioRelease  = 0 // frees resources: job completion, partition up
 	PrioWithdraw = 1 // removes resources: partition down
 	PrioArrival  = 2 // job submission
-	PrioSchedule = 3 // scheduling pass
+	PrioRequeue  = 3 // a killed job re-enters the queue after its backoff
+	PrioSchedule = 4 // scheduling pass
 )
 
 // Handle names one scheduled event so it can be cancelled. The zero

@@ -111,11 +111,29 @@ echo "== snapshot pause-and-restore determinism"
 "$tmpdir/zccsim" -days 7 -mira-nodes 2048 -zc-factor 1 -zc-duty 0.5 \
 	-kill-requeue -mtbf 12 -brownout 0.25 -forecast-err 0.5 -retry-limit 4 \
 	-seed 7 -check -restore "$tmpdir/s.json" >"$tmpdir/restored.txt"
-# drop the first line (workload summary vs restore banner); metrics must match
+# drop the first line (the workload summary); metrics must match
 tail -n +2 "$tmpdir/out1.txt" >"$tmpdir/full.body"
 tail -n +2 "$tmpdir/restored.txt" >"$tmpdir/restored.body"
 if ! cmp -s "$tmpdir/full.body" "$tmpdir/restored.body"; then
 	echo "restored run metrics differ from the uninterrupted run" >&2
+	exit 1
+fi
+
+echo "== long-trace snapshot size and restore determinism"
+# A 10-year workload paused at day 100 snapshots only the jobs that have
+# arrived, not the future trace, and resumes to the uninterrupted metrics.
+longflags="-days 3650 -mira-nodes 4096 -scale 2"
+"$tmpdir/zccsim" $longflags >"$tmpdir/long-full.txt"
+"$tmpdir/zccsim" $longflags -snapshot "$tmpdir/long.json" -snapshot-at 100 >/dev/null
+"$tmpdir/zccsim" $longflags -restore "$tmpdir/long.json" >"$tmpdir/long-restored.txt"
+longsize=$(wc -c <"$tmpdir/long.json")
+if [ "$longsize" -ge 4000000 ]; then
+	echo "day-100 snapshot of the 10-year trace is $longsize bytes, want < 4 MB" >&2
+	exit 1
+fi
+# the restore banner goes to stderr, so the whole stdout must match
+if ! cmp -s "$tmpdir/long-full.txt" "$tmpdir/long-restored.txt"; then
+	echo "restored long-trace metrics differ from the uninterrupted run" >&2
 	exit 1
 fi
 

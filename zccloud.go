@@ -198,12 +198,14 @@ func SimulateContext(ctx context.Context, cfg RunConfig) (*Metrics, error) {
 
 // Crash safety: a run stopped by RunConfig.StopAt or ObsOptions.Interrupt
 // returns an *InterruptedRun error carrying a RunSnapshot; ResumeSimulation
-// continues it — under the same system configuration — to results
-// byte-identical with an uninterrupted run.
+// continues it — under the same system configuration and trace — to
+// results byte-identical with an uninterrupted run.
 
-// RunSnapshot is a versioned, checksummed capture of a paused simulation:
-// engine clock and counters, queue, running set, partition pools, fault
-// state, and every pending event in deterministic order.
+// RunSnapshot is a versioned capture of a paused simulation: engine clock
+// and counters, the jobs that have arrived, queue, running set, partition
+// pools, fault state, and every pending event in deterministic order.
+// Jobs yet to arrive stay in the run's trace, which is fingerprinted
+// together with the system configuration.
 type RunSnapshot = sched.Snapshot
 
 // SnapshotVersion is the current RunSnapshot layout version; restore
@@ -218,8 +220,9 @@ type InterruptedRun = core.Interrupted
 var ErrRunInterrupted = sched.ErrInterrupted
 
 // ResumeSimulation continues a simulation from a snapshot. The config
-// must describe the same system that produced the snapshot (its workload
-// trace is ignored — jobs live in the snapshot); a mismatch is refused.
+// must carry the same system and workload trace that produced the
+// snapshot; a different system or trace is refused. The trace's jobs
+// carry their outcomes afterwards, as after Simulate.
 func ResumeSimulation(cfg RunConfig, snap *RunSnapshot) (*Metrics, error) {
 	return core.Resume(cfg, snap)
 }
@@ -230,24 +233,13 @@ func ResumeSimulationContext(ctx context.Context, cfg RunConfig, snap *RunSnapsh
 	return core.ResumeContext(ctx, cfg, snap)
 }
 
-// snapshotFileKind tags RunSnapshot files written by SaveSnapshot.
-const snapshotFileKind = "zccloud-snapshot"
-
 // SaveSnapshot writes a RunSnapshot to path atomically, wrapped in a
 // checksummed, versioned envelope.
-func SaveSnapshot(path string, snap *RunSnapshot) error {
-	return persist.SaveJSON(path, snapshotFileKind, SnapshotVersion, snap)
-}
+var SaveSnapshot = sched.SaveSnapshot
 
 // LoadSnapshot reads a RunSnapshot written by SaveSnapshot, verifying
 // kind, version, and checksum.
-func LoadSnapshot(path string) (*RunSnapshot, error) {
-	snap := new(RunSnapshot)
-	if err := persist.LoadJSON(path, snapshotFileKind, SnapshotVersion, snap); err != nil {
-		return nil, err
-	}
-	return snap, nil
-}
+var LoadSnapshot = sched.LoadSnapshot
 
 // InvariantViolation is a detected scheduler-state inconsistency; the
 // invariant checker (ObsOptions.Check) returns one as the run error.
