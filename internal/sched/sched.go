@@ -350,9 +350,9 @@ func bySubmit(tr *job.Trace) []*job.Job {
 	return js
 }
 
-// Submit adds one job to the arrival list. Jobs arrive in Submit order,
-// ties in the order they were submitted; only the next one to arrive has
-// an event in the engine. Invalid jobs (including duplicate IDs and,
+// Submit adds one job to the arrival list. Jobs arrive in order of
+// submission time, ties in the order they were submitted; only the next
+// one to arrive has an event in the engine. Invalid jobs (including duplicate IDs and,
 // once the run has started, submission times before Now) are rejected
 // with an error and leave the scheduler unchanged.
 func (s *Scheduler) Submit(j *job.Job) error {
@@ -381,10 +381,7 @@ func (s *Scheduler) add(j *job.Job) (int, error) {
 		return 0, fmt.Errorf("sched: job %d submitted at %v, before the clock (%v)", j.ID, j.Submit, now)
 	}
 	s.jobs[j.ID] = j
-	i := len(s.arrivals)
-	if i > 0 && j.Submit < s.arrivals[i-1].Submit {
-		i = sort.Search(i, func(k int) bool { return s.arrivals[k].Submit > j.Submit })
-	}
+	i := sort.Search(len(s.arrivals), func(k int) bool { return s.arrivals[k].Submit > j.Submit })
 	s.arrivals = slices.Insert(s.arrivals, i, j)
 	return i, nil
 }
