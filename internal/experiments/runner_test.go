@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"strings"
@@ -339,10 +341,70 @@ func TestSweepAllExperimentsTiny(t *testing.T) {
 			t.Errorf("cell %s: empty table", e.ID)
 		}
 	}
-	if v := reg.Snapshot().Counter("sched.invariant_violations"); v != 0 {
+	snap := reg.Snapshot()
+	if v := snap.Counter("sched.invariant_violations"); v != 0 {
 		t.Errorf("invariant violations during sweep: %d", v)
 	}
+
+	// Every table, and the amount of simulation behind them, is pinned:
+	// a refactor of how experiments run their simulations must change
+	// neither.
+	for _, e := range All {
+		rec := res.Records[e.ID]
+		if rec.Table == nil {
+			continue
+		}
+		sum := sha256.Sum256([]byte(rec.Table.Markdown()))
+		if got := hex.EncodeToString(sum[:]); got != tinyTableDigests[e.ID] {
+			t.Errorf("cell %s: table digest %s, want %s", e.ID, got, tinyTableDigests[e.ID])
+		}
+	}
+	if got := snap.Counter("run.simulations"); got != tinySimulations {
+		t.Errorf("simulations run = %d, want %d", got, tinySimulations)
+	}
+	if got := snap.Counter("sim.events_dispatched"); got != tinyEvents {
+		t.Errorf("events dispatched = %d, want %d", got, tinyEvents)
+	}
 }
+
+// Pinned outputs of TestSweepAllExperimentsTiny: the SHA-256 of each
+// cell's Markdown table, and the registry's simulation and dispatched
+// event counts over the whole sweep.
+var tinyTableDigests = map[string]string{
+	"table1":      "4f1f037f2349ce199beaf812bf7ffad023605ba9eb34fbe458796067fd8c3301",
+	"table2":      "545eefa7297b5acb7fdfbbe6757471ef1679b980d17d14c9afc798af0b9ce718",
+	"fig5":        "1e7932ebe5b028eea0a24fe650cfbd5601e215efeefa7e0eeebb3f4716fccc07",
+	"fig6":        "06c34132fac780585bf8ddc2c91d28487b9907125af0a47709bb35b10d06cf6a",
+	"fig7":        "57e9225de0e5ef1133cbf789ac3ab5183a84ab223b00949a6a736b9be82d42d6",
+	"fig8":        "02c7e57fb64771be6ac340feab244161cc0dde2a44e065fae0cbc03a721b1f52",
+	"table3":      "2e321ae55d457c9eed72b912f0db6b69e78dd13c8f96204c2531dd6fd758b0df",
+	"table4":      "d293e9ecfb43fa9ef9cd3ada5fdc34b953081f030d9df830dc7fe1f3abf8510e",
+	"table5":      "6a47577064df888660f43951407ad0286fa6f098e5e5b719464b4e28d4c1ce5f",
+	"fig9":        "5c52383958cac96ec8047d719ed2927bf6f762c7caca8bf1e1cfdbd203c4ef1b",
+	"fig10":       "7b867a39c9c454fe5517b54de32a563426196476f24c0446c55a60730ab19031",
+	"fig11":       "bd9ea218cb4f9403a5aa00a9d0330c9220f43dbf4859f30ee0681a9e2f11214c",
+	"fig12":       "26313bfd6ab3de2a8b5814b0fb0e34448bac34f7a31314ec08a349e08a2ef37d",
+	"table6":      "ded9a0e52eff390472ea52ce514d2137b81dbd2c81a231ee952a4ff57f8a55e6",
+	"table7":      "064207846a5ec92bce90217dbfff19f8c41ad273396d5ad700b8fc95e84b2f7e",
+	"fig13":       "43fc8079bf017105d08fc61fc84643e741d07c85b2ff0775b34efd248adcba83",
+	"fig14":       "1d8689c6a095fcc7b3a1a4fa46ced12bce890d5ba9427f33d6d2ec351a6b6f41",
+	"fig15":       "2e3b47c7d96ec75df066be59b3fe57da639a3795a803b0e5732d5e833b6d38b7",
+	"multisite":   "339621f2dd6cd7482164e01183bfdd37ca5c8b609274a398362cbae395394f74",
+	"killrequeue": "38bc5cb1cf527e4a71dfb327f060170d8012833f45261192835469ae91fa3f58",
+	"prediction":  "663e4a5bcb743dbe9eff02b2663f2d6fce7b421761b2055b9ce4882f091bc6f1",
+	"backfill":    "72530d307430f9ccff61554248b4e281b7b71e688cc20251ea022b9d56474ab6",
+	"burstiness":  "de949e4143b3d37c82b6ce485fffc508a51111d7e36958096331985c5cba8e50",
+	"economics":   "f4ba13e92d8f28819747eb7aabf3a97efecf18ca17254eb0114b52150f789a67",
+	"checkpoint":  "f8e5adf00b43ade85e2c3cd5e2ba85782b6698b541edc134def712da3bea44ad",
+	"caiso":       "c92c45e6b01ce4e2116ce184a7bbca00b170869bb932c86a2694fec0a42274b9",
+	"resilience":  "0e430a2cc2cd811d2130a60e2ef0356274c5f698cb7b1bd08e1cf60a724c0a52",
+	"admission":   "8f1ba57e8f898d2bbb9cc862592e904ebf57bb33dddec65f2ed6162641dbc6e8",
+}
+
+const (
+	tinySimulations = 91
+	tinyEvents      = 453387
+)
 
 // TestSweepContextCancelBetweenCells: SweepConfig.Context is the
 // context-shaped twin of Interrupt — a cancellation landing while one
