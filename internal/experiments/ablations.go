@@ -3,10 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"zccloud/internal/core"
 	"zccloud/internal/sim"
 	"zccloud/internal/stranded"
-	"zccloud/internal/workload"
 )
 
 // BackfillAblation quantifies the scheduler design choice DESIGN.md calls
@@ -22,27 +20,29 @@ func BackfillAblation(l *Lab) (*Table, error) {
 		Columns: []string{"System", "Scheduler", "Avg wait (h)", "Completed"},
 	}
 	zc := periodicZC(0.5)
+	var specs []runSpec
+	var rows [][2]string
 	for _, sys := range []struct {
 		name   string
 		factor float64
 	}{{"Mira", 0}, {"M-Z 1xMira@50%", 1}} {
-		for _, nb := range []bool{false, true} {
-			tr, err := l.Trace(1)
-			if err != nil {
-				return nil, err
-			}
-			cfg := sysFor(l, sys.factor, zc)
-			cfg.DisableBackfill = nb
-			m, err := l.runSys(tr, cfg)
-			if err != nil {
-				return nil, err
-			}
+		for _, fcfs := range []bool{false, true} {
+			r := l.mz(1, sys.factor, zc)
+			r.sys.DisableBackfill = fcfs
 			name := "EASY backfill"
-			if nb {
+			if fcfs {
 				name = "plain FCFS"
 			}
-			t.AddRow(sys.name, name, m.AvgWaitHrs, done(m))
+			specs = append(specs, r)
+			rows = append(rows, [2]string{sys.name, name})
 		}
+	}
+	res, err := l.runAll(specs)
+	if err != nil {
+		return nil, err
+	}
+	for i, row := range rows {
+		t.AddRow(row[0], row[1], res[i].AvgWaitHrs, res[i].done())
 	}
 	t.AddNote("backfill is essential on intermittent partitions: FCFS cannot slip " +
 		"window-fitting jobs past a blocked capability job")
@@ -63,52 +63,27 @@ func Checkpoint(l *Lab) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	variants := []struct {
-		name   string
-		mutate func(*core.SystemConfig)
-	}{
-		{"oracle (paper)", func(c *core.SystemConfig) {}},
-		{"blind, no checkpoints", func(c *core.SystemConfig) { c.NonOracle = true }},
-		{"blind, checkpoint 1 h (2 min overhead)", func(c *core.SystemConfig) {
-			c.NonOracle = true
-			c.CheckpointInterval = sim.Hour
-			c.CheckpointOverhead = 2 * sim.Minute
-		}},
-		{"blind, checkpoint 15 min (2 min overhead)", func(c *core.SystemConfig) {
-			c.NonOracle = true
-			c.CheckpointInterval = 15 * sim.Minute
-			c.CheckpointOverhead = 2 * sim.Minute
-		}},
+	oracle := l.mz(1, 1, spAvail)
+	blind := oracle
+	blind.sys.NonOracle = true
+	ckpt := func(iv sim.Duration) runSpec {
+		r := blind
+		r.sys.CheckpointInterval = iv
+		r.sys.CheckpointOverhead = 2 * sim.Minute
+		return r
 	}
-	for _, v := range variants {
-		tr, err := l.Trace(1)
-		if err != nil {
-			return nil, err
-		}
-		sys := sysFor(l, 1, spAvail)
-		v.mutate(&sys)
-		m, err := l.runSys(tr, sys)
-		if err != nil {
-			return nil, err
-		}
-		requeued, usefulNH := 0, 0.0
-		for _, j := range tr.Jobs {
-			if j.Requeues > 0 {
-				requeued++
-			}
-			if j.Completed {
-				usefulNH += j.NodeHours()
-			}
-		}
-		var totalNH float64
-		for _, nh := range m.NodeHoursByPartition {
-			totalNH += nh
-		}
-		wasted := 0.0
-		if totalNH > usefulNH && totalNH > 0 {
-			wasted = 100 * (totalNH - usefulNH) / totalNH
-		}
-		t.AddRow(v.name, m.AvgWaitHrs, done(m), requeued, fmt.Sprintf("%.1f%%", wasted))
+	res, err := l.runAll([]runSpec{oracle, blind, ckpt(sim.Hour), ckpt(15 * sim.Minute)})
+	if err != nil {
+		return nil, err
+	}
+	for i, name := range []string{
+		"oracle (paper)",
+		"blind, no checkpoints",
+		"blind, checkpoint 1 h (2 min overhead)",
+		"blind, checkpoint 15 min (2 min overhead)",
+	} {
+		m := res[i]
+		t.AddRow(name, m.AvgWaitHrs, m.done(), m.requeued, fmt.Sprintf("%.1f%%", m.wastedPct()))
 	}
 	t.AddNote("checkpointing bounds re-executed work at the cost of periodic write-out " +
 		"stalls; with this trace's short jobs (1.7 h average) blind requeue already wastes " +
@@ -127,26 +102,20 @@ func BurstinessAblation(l *Lab) (*Table, error) {
 		Title:   "Ablation: arrival burstiness (campaign mean) vs ZCCloud benefit",
 		Columns: []string{"Campaign mean", "Mira wait (h)", "M-Z wait (h)", "Reduction"},
 	}
-	opt := l.Opt()
-	zc := periodicZC(0.5)
-	for _, cm := range []float64{1, 2, 4} {
-		tr, err := workload.Generate(workload.Config{
-			Seed:         opt.Seed,
-			Days:         opt.WorkloadDays,
-			SystemNodes:  opt.MiraNodes,
-			CampaignMean: cm,
-		})
-		if err != nil {
-			return nil, err
-		}
-		base, err := l.runSys(tr.Clone(), core.SystemConfig{MiraNodes: opt.MiraNodes})
-		if err != nil {
-			return nil, err
-		}
-		mz, err := l.runSys(tr.Clone(), sysFor(l, 1, zc))
-		if err != nil {
-			return nil, err
-		}
+	campaigns := []float64{1, 2, 4}
+	var specs []runSpec
+	for _, cm := range campaigns {
+		mira, mz := l.mz(1, 0, nil), l.mz(1, 1, periodicZC(0.5))
+		mira.trace = traceSpec{campaign: cm}
+		mz.trace = mira.trace
+		specs = append(specs, mira, mz)
+	}
+	res, err := l.runAll(specs)
+	if err != nil {
+		return nil, err
+	}
+	for i, cm := range campaigns {
+		base, mz := res[2*i], res[2*i+1]
 		red := "-"
 		if base.AvgWaitHrs > 0 {
 			red = fmt.Sprintf("%.0f%%", 100*(1-mz.AvgWaitHrs/base.AvgWaitHrs))

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"zccloud/internal/availability"
 	"zccloud/internal/stranded"
 )
 
@@ -345,16 +346,23 @@ func TestBestSiteAvailabilityTiling(t *testing.T) {
 	// build a lab where the market is shorter than the workload to cover
 	// the tiling path.
 	l := NewLab(Options{Seed: 2, WorkloadDays: 30, MarketDays: 10, WindSites: 20})
-	av, err := l.BestSiteAvailability(stranded.Model{Kind: stranded.NetPrice, Threshold: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws := av.Windows()
-	if len(ws) == 0 {
-		t.Skip("no SP intervals in a 10-day window for this seed")
-	}
-	last := ws[len(ws)-1]
-	if float64(last.End) < 10*86400 {
-		t.Error("windows were not tiled past the market span")
+	model := stranded.Model{Kind: stranded.NetPrice, Threshold: 0}
+	for name, avail := range map[string]func() (*availability.IntervalTrace, error){
+		"best site":   func() (*availability.IntervalTrace, error) { return l.BestSiteAvailability(model) },
+		"top 3 sites": func() (*availability.IntervalTrace, error) { return l.MultiSiteAvailability(model, 3) },
+	} {
+		av, err := avail()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws := av.Windows()
+		if len(ws) == 0 {
+			t.Logf("%s: no SP intervals in a 10-day window for this seed", name)
+			continue
+		}
+		last := ws[len(ws)-1]
+		if float64(last.End) < 10*86400 {
+			t.Errorf("%s: windows were not tiled past the market span", name)
+		}
 	}
 }

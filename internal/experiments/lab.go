@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"zccloud/internal/availability"
+	"zccloud/internal/core"
 	"zccloud/internal/job"
 	"zccloud/internal/miso"
 	"zccloud/internal/obs"
@@ -126,43 +127,190 @@ func (l *Lab) BaseTrace() (*job.Trace, error) {
 // (paper's 1x, 1.25x, 1.5x, 1.75x, 2x), generated by duplicating base
 // jobs the way the paper scales workloads.
 func (l *Lab) Trace(scale float64) (*job.Trace, error) {
-	key := fmt.Sprintf("u%.3f", scale)
-	if t, ok := l.scaled[key]; ok {
-		return t.Clone(), nil
-	}
-	base, err := l.BaseTrace()
-	if err != nil {
-		return nil, err
-	}
-	t, err := workload.ScaleTrace(base, scale, l.opt.Seed+int64(scale*1000))
-	if err != nil {
-		return nil, err
-	}
-	l.scaled[key] = t
-	return t.Clone(), nil
+	return l.clone(traceSpec{scale: scale})
 }
 
 // BurstTrace returns a Burst-shaped trace at the given scale, with 2x
 // node-hours during the given uptime windows (paper, Figure 7).
 func (l *Lab) BurstTrace(scale float64, up []availability.Window) (*job.Trace, error) {
-	key := fmt.Sprintf("b%.3f", scale)
-	if t, ok := l.scaled[key]; ok {
-		return t.Clone(), nil
+	return l.clone(traceSpec{scale: scale, burst: true, up: up})
+}
+
+// traceSpec names a workload trace in the Lab's memo.
+type traceSpec struct {
+	scale float64 // node-hours relative to the base trace
+	// burst shapes the trace as Burst, with 2x node-hours during the up
+	// windows; the memo keys it by scale alone.
+	burst bool
+	up    []availability.Window
+	// campaign, when positive, names a trace generated afresh with this
+	// submission-campaign mean and its own requests. It is not memoized.
+	campaign float64
+}
+
+func (s traceSpec) key() string {
+	switch {
+	case s.campaign > 0:
+		return fmt.Sprintf("c%g", s.campaign)
+	case s.burst:
+		return fmt.Sprintf("b%.3f", s.scale)
+	default:
+		return fmt.Sprintf("u%.3f", s.scale)
 	}
-	t, err := workload.Generate(workload.Config{
-		Seed:          l.opt.Seed,
-		Days:          l.opt.WorkloadDays,
-		SystemNodes:   l.opt.MiraNodes,
-		Scale:         scale,
-		Shape:         workload.Burst,
-		UptimeWindows: up,
-		ExactRequests: true,
-	})
+}
+
+func (l *Lab) clone(s traceSpec) (*job.Trace, error) {
+	t, err := l.master(s)
+	if err != nil {
+		return nil, err
+	}
+	return t.Clone(), nil
+}
+
+// master returns the trace s names. Memoized traces are shared: a
+// caller clones one before simulating it. Scale 1 is the base trace
+// itself, since scaling by 1 only clones it.
+func (l *Lab) master(s traceSpec) (*job.Trace, error) {
+	cfg := workload.Config{Seed: l.opt.Seed, Days: l.opt.WorkloadDays, SystemNodes: l.opt.MiraNodes}
+	if s.campaign > 0 {
+		cfg.CampaignMean = s.campaign
+		return workload.Generate(cfg)
+	}
+	if !s.burst && s.scale == 1 {
+		return l.BaseTrace()
+	}
+	key := s.key()
+	if t, ok := l.scaled[key]; ok {
+		return t, nil
+	}
+	var t *job.Trace
+	var err error
+	if s.burst {
+		cfg.Scale, cfg.Shape, cfg.UptimeWindows, cfg.ExactRequests = s.scale, workload.Burst, s.up, true
+		t, err = workload.Generate(cfg)
+	} else {
+		var base *job.Trace
+		if base, err = l.BaseTrace(); err == nil {
+			t, err = workload.ScaleTrace(base, s.scale, l.opt.Seed+int64(s.scale*1000))
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
 	l.scaled[key] = t
-	return t.Clone(), nil
+	return t, nil
+}
+
+// runSpec is one simulation an experiment needs: the trace it replays
+// and the system it replays it on. classify, when set, sorts the run's
+// completed jobs into on-time and late against its windows, for a
+// baseline whose scheduler has no intermittent partition to do so.
+type runSpec struct {
+	trace    traceSpec
+	sys      core.SystemConfig
+	classify availability.Model
+}
+
+// mz declares a run of the scale-x uniform workload on Mira +
+// ZCCloud(zcFactor, avail); a zero factor is Mira alone.
+func (l *Lab) mz(scale, zcFactor float64, avail availability.Model) runSpec {
+	r := runSpec{trace: traceSpec{scale: scale}, sys: core.SystemConfig{MiraNodes: l.opt.MiraNodes}}
+	if zcFactor > 0 {
+		r.sys.ZCFactor = zcFactor
+		r.sys.ZCAvail = avail
+	}
+	return r
+}
+
+// runResult is one run's metrics plus the per-job tallies tables read
+// from its trace.
+type runResult struct {
+	*core.Metrics
+	requeued     int       // jobs requeued at least once
+	usefulNH     float64   // node-hours of completed jobs
+	onTime, late accumMean // completed jobs' waits (h), when classified
+}
+
+// runAll runs specs in order, with the Lab's telemetry attached, and
+// returns their results in the same order. It resolves a run's trace
+// only when the run starts and reduces it to the tallies before the
+// next, so a run's trace is dropped as soon as it has been read. The
+// first error stops it.
+func (l *Lab) runAll(specs []runSpec) ([]runResult, error) {
+	out := make([]runResult, len(specs))
+	var master *job.Trace
+	for i, s := range specs {
+		// Consecutive runs of one trace share its master, so a campaign
+		// trace is generated once for all of them.
+		if i == 0 || s.trace.key() != specs[i-1].trace.key() {
+			var err error
+			if master, err = l.master(s.trace); err != nil {
+				return nil, err
+			}
+		}
+		tr := master.Clone()
+		m, err := core.Run(core.RunConfig{Trace: tr, System: s.sys, Obs: l.obs})
+		if err != nil {
+			return nil, err
+		}
+		res := runResult{Metrics: m}
+		for _, j := range tr.Jobs {
+			if j.Requeues > 0 {
+				res.requeued++
+			}
+			if !j.Completed {
+				continue
+			}
+			res.usefulNH += j.NodeHours()
+			if s.classify == nil {
+				continue
+			}
+			if w, ok := s.classify.WindowAt(j.Submit); ok && j.Submit+j.Runtime <= w.End {
+				res.onTime.add(j.Wait().Hours())
+			} else {
+				res.late.add(j.Wait().Hours())
+			}
+		}
+		out[i] = res
+	}
+	return out, nil
+}
+
+// deliveredNH is the node-hours the run delivered over all partitions.
+func (r runResult) deliveredNH() float64 {
+	var total float64
+	for _, nh := range r.NodeHoursByPartition {
+		total += nh
+	}
+	return total
+}
+
+// goodputPct is the share of delivered node-hours that completed jobs
+// used.
+func (r runResult) goodputPct() float64 {
+	total := r.deliveredNH()
+	if total <= 0 {
+		return 0
+	}
+	return 100 * r.usefulNH / total
+}
+
+// wastedPct is the share of delivered node-hours that no completed job
+// used: partial executions lost to kills, and checkpoint stalls.
+func (r runResult) wastedPct() float64 {
+	total := r.deliveredNH()
+	if total <= r.usefulNH {
+		return 0
+	}
+	return 100 * (total - r.usefulNH) / total
+}
+
+// done summarizes completion for a row ("yes" or the paper's "X").
+func (r runResult) done() string {
+	if r.WorkloadCompleted {
+		return "yes"
+	}
+	return fmt.Sprintf("X (%d left)", r.Unfinished)
 }
 
 // runSPAnalysis streams the synthetic MISO dataset once through all four
@@ -316,21 +464,7 @@ func (l *Lab) BestSiteAvailability(m stranded.Model) (*availability.IntervalTrac
 	if err != nil {
 		return nil, err
 	}
-	ws := stranded.Windows(best.Intervals)
-	// The market dataset may be shorter than the workload span; tile the
-	// windows periodically so the workload is always covered.
-	span := sim.Time(l.opt.WorkloadDays * float64(sim.Day))
-	market := sim.Time(l.opt.MarketDays * float64(sim.Day))
-	if market <= 0 {
-		return availability.NewIntervalTrace(ws), nil
-	}
-	var tiled []availability.Window
-	for off := sim.Time(0); off < span+sim.Day; off += market {
-		for _, w := range ws {
-			tiled = append(tiled, availability.Window{Start: w.Start + off, End: w.End + off})
-		}
-	}
-	return availability.NewIntervalTrace(tiled), nil
+	return l.tiled(stranded.Windows(best.Intervals)), nil
 }
 
 // MultiSiteAvailability returns the union availability of the top-N wind
@@ -347,14 +481,23 @@ func (l *Lab) MultiSiteAvailability(m stranded.Model, n int) (*availability.Inte
 	for i := 0; i < n; i++ {
 		all = append(all, stranded.Windows(res[i].Intervals)...)
 	}
+	return l.tiled(availability.Normalize(all)), nil
+}
+
+// tiled turns market-span windows into an availability trace. The
+// market dataset may be shorter than the workload span, so the windows
+// repeat with the market's period until the workload is covered.
+func (l *Lab) tiled(ws []availability.Window) *availability.IntervalTrace {
 	span := sim.Time(l.opt.WorkloadDays * float64(sim.Day))
 	market := sim.Time(l.opt.MarketDays * float64(sim.Day))
-	norm := availability.Normalize(all)
+	if market <= 0 {
+		return availability.NewIntervalTrace(ws)
+	}
 	var tiled []availability.Window
 	for off := sim.Time(0); off < span+sim.Day; off += market {
-		for _, w := range norm {
+		for _, w := range ws {
 			tiled = append(tiled, availability.Window{Start: w.Start + off, End: w.End + off})
 		}
 	}
-	return availability.NewIntervalTrace(tiled), nil
+	return availability.NewIntervalTrace(tiled)
 }

@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
 	"zccloud/internal/miso"
+	"zccloud/internal/obs"
+	"zccloud/internal/sched"
 	"zccloud/internal/stranded"
 )
 
@@ -82,5 +85,46 @@ func TestLabMarketPassMatchesSequential(t *testing.T) {
 		if reg, _ := l.NodeRegion(n); reg != gen.NodeRegion(n) {
 			t.Errorf("node %d region %d, want %d", n, reg, gen.NodeRegion(n))
 		}
+	}
+}
+
+// TestRunAllStopsAtInterrupt: the executor hands an interrupt back
+// unchanged and resolves no trace for the runs after it.
+func TestRunAllStopsAtInterrupt(t *testing.T) {
+	l := NewLab(Options{Seed: 1, WorkloadDays: 3, MiraNodes: 4096})
+	l.SetObs(obs.Options{Interrupt: func() bool { return true }})
+	res, err := l.runAll([]runSpec{l.mz(1, 0, nil), l.mz(1.5, 1, periodicZC(0.5))})
+	if !errors.Is(err, sched.ErrInterrupted) || res != nil {
+		t.Fatalf("runAll = %v, %v; want no results and sched.ErrInterrupted", res, err)
+	}
+	if len(l.scaled) != 0 {
+		t.Errorf("memoized %d traces; want none, the 1.5x run never started", len(l.scaled))
+	}
+}
+
+// TestScaleOneIsBaseTrace: Mira@1x and M-Z@1x share the base trace,
+// with no second memoized copy of it.
+func TestScaleOneIsBaseTrace(t *testing.T) {
+	l := NewLab(Options{Seed: 1, WorkloadDays: 3, MiraNodes: 4096})
+	res, err := l.runAll([]runSpec{l.mz(1, 0, nil), l.mz(1, 1, periodicZC(0.5))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 2 || res[0].Completed == 0 {
+		t.Fatalf("results %+v", res)
+	}
+	if len(l.scaled) != 0 {
+		t.Errorf("memoized %d traces; want none", len(l.scaled))
+	}
+	base, err := l.BaseTrace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := l.Trace(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(one, base) || one.Jobs[0] == base.Jobs[0] {
+		t.Error("Trace(1) is not a fresh clone of the base trace")
 	}
 }

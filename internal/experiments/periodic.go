@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"zccloud/internal/availability"
-	"zccloud/internal/core"
-	"zccloud/internal/job"
 	"zccloud/internal/sim"
 	"zccloud/internal/workload"
 )
@@ -21,27 +19,6 @@ func periodicZC(duty float64) availability.Model {
 		return availability.AlwaysOn{}
 	}
 	return availability.NewPeriodic(duty, zcPhase)
-}
-
-// sysFor builds the system config for Mira + ZCCloud(factor, model).
-func sysFor(l *Lab, zcFactor float64, avail availability.Model) core.SystemConfig {
-	sys := core.SystemConfig{MiraNodes: l.opt.MiraNodes}
-	if zcFactor > 0 {
-		sys.ZCFactor = zcFactor
-		sys.ZCAvail = avail
-	}
-	return sys
-}
-
-// runSys simulates a trace on a configured system, with the Lab's
-// telemetry hooks attached.
-func (l *Lab) runSys(tr *job.Trace, sys core.SystemConfig) (*core.Metrics, error) {
-	return core.Run(core.RunConfig{Trace: tr, System: sys, Obs: l.obs})
-}
-
-// runMZ simulates a trace on Mira + ZCCloud(factor, duty-model).
-func (l *Lab) runMZ(tr *job.Trace, zcFactor float64, avail availability.Model) (*core.Metrics, error) {
-	return l.runSys(tr, sysFor(l, zcFactor, avail))
 }
 
 // Table1 reproduces Table I: the workload trace statistics.
@@ -85,35 +62,24 @@ func Table2(l *Lab) (*Table, error) {
 	return t, nil
 }
 
+// sameUtilization declares Figure 5's runs: Mira at 1xWorkload, and
+// Mira-ZCCloud with 1xMira at 50% duty at the same workload (1x) and at
+// the same utilization (1.5x).
+func (l *Lab) sameUtilization() []runSpec {
+	zc := periodicZC(0.5)
+	return []runSpec{l.mz(1, 0, nil), l.mz(1, 1, zc), l.mz(1.5, 1, zc)}
+}
+
 // Fig5 reproduces Figure 5: average wait time by job-size bin for Mira
 // (1xWorkload) vs Mira-ZCCloud with 1xMira intermittent resources at 50%
 // duty — both at the same workload (1x) and at the paper's same
 // utilization (1.5x on M-Z).
 func Fig5(l *Lab) (*Table, error) {
-	base, err := l.BaseTrace()
+	res, err := l.runAll(l.sameUtilization())
 	if err != nil {
 		return nil, err
 	}
-	mira, err := l.runMZ(base.Clone(), 0, nil)
-	if err != nil {
-		return nil, err
-	}
-	tr1, err := l.Trace(1)
-	if err != nil {
-		return nil, err
-	}
-	mz1, err := l.runMZ(tr1, 1, periodicZC(0.5))
-	if err != nil {
-		return nil, err
-	}
-	tr15, err := l.Trace(1.5)
-	if err != nil {
-		return nil, err
-	}
-	mz, err := l.runMZ(tr15, 1, periodicZC(0.5))
-	if err != nil {
-		return nil, err
-	}
+	mira, mz1, mz := res[0], res[1], res[2]
 	t := &Table{
 		ID:    "fig5",
 		Title: "Average wait time (h) vs job size — Mira@1x vs M-Z@1x and M-Z@1.5x (same utilization)",
@@ -139,47 +105,16 @@ func Fig5(l *Lab) (*Table, error) {
 // Fig6 reproduces Figure 6: average wait for on-time vs late jobs under
 // the Figure 5 configuration.
 func Fig6(l *Lab) (*Table, error) {
-	base, err := l.BaseTrace()
-	if err != nil {
-		return nil, err
-	}
-	baseRun := base.Clone()
-	mira, err := l.runMZ(baseRun, 0, nil)
-	if err != nil {
-		return nil, err
-	}
-	tr1, err := l.Trace(1)
-	if err != nil {
-		return nil, err
-	}
-	mz1, err := l.runMZ(tr1, 1, periodicZC(0.5))
-	if err != nil {
-		return nil, err
-	}
-	tr15, err := l.Trace(1.5)
-	if err != nil {
-		return nil, err
-	}
-	mz, err := l.runMZ(tr15, 1, periodicZC(0.5))
-	if err != nil {
-		return nil, err
-	}
+	specs := l.sameUtilization()
 	// Baseline waits per class: the scheduler only classifies jobs when a
 	// ZC partition exists, so classify the baseline's jobs against the
 	// same hypothetical window here.
-	zc := periodicZC(0.5)
-	var baseOn, baseLate accumMean
-	for _, j := range baseRun.Jobs {
-		if !j.Completed {
-			continue
-		}
-		w := j.Wait().Hours()
-		if cls, ok := zc.WindowAt(j.Submit); ok && j.Submit+j.Runtime <= cls.End {
-			baseOn.add(w)
-		} else {
-			baseLate.add(w)
-		}
+	specs[0].classify = periodicZC(0.5)
+	res, err := l.runAll(specs)
+	if err != nil {
+		return nil, err
 	}
+	mira, mz1, mz := res[0], res[1], res[2]
 	t := &Table{
 		ID:    "fig6",
 		Title: "Average wait time (h) vs on-time metric (M-Z = 1xMira @50% duty)",
@@ -195,8 +130,8 @@ func Fig6(l *Lab) (*Table, error) {
 		}
 		t.AddRow(name, baseW, mz1W, mz15W, red(mz1W), red(mz15W))
 	}
-	addClass("on-time", baseOn.mean(), mz1.AvgWaitOnTimeHrs, mz.AvgWaitOnTimeHrs)
-	addClass("late", baseLate.mean(), mz1.AvgWaitLateHrs, mz.AvgWaitLateHrs)
+	addClass("on-time", mira.onTime.mean(), mz1.AvgWaitOnTimeHrs, mz.AvgWaitOnTimeHrs)
+	addClass("late", mira.late.mean(), mz1.AvgWaitLateHrs, mz.AvgWaitLateHrs)
 	t.AddNote("paper (same utilization): on-time −80%%, late −55%%; overall Mira %.1f h vs "+
 		"M-Z@1.5x %.1f h; on-time jobs gain more than late jobs in both comparisons",
 		mira.AvgWaitHrs, mz.AvgWaitHrs)
@@ -205,54 +140,26 @@ func Fig6(l *Lab) (*Table, error) {
 
 // Fig7 reproduces Figure 7: average wait vs workload size and shape.
 func Fig7(l *Lab) (*Table, error) {
+	zc := periodicZC(0.5)
+	burst := l.mz(1.5, 1, zc)
+	burst.trace.burst = true
+	burst.trace.up = availability.Materialize(zc, 0, sim.Time(l.opt.WorkloadDays*float64(sim.Day)))
+	res, err := l.runAll(append(l.sameUtilization(), burst))
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{
 		ID:      "fig7",
 		Title:   "Average wait time (h) vs workload size and shape (M-Z = 1xMira @50% duty)",
 		Columns: []string{"Workload", "Shape", "System", "Avg wait (h)", "Completed"},
 	}
-	base, err := l.BaseTrace()
-	if err != nil {
-		return nil, err
+	for i, row := range [][3]string{
+		{"1x", "uniform", "Mira"}, {"1x", "uniform", "M-Z"},
+		{"1.5x", "uniform", "M-Z"}, {"1.5x", "burst", "M-Z"},
+	} {
+		t.AddRow(row[0], row[1], row[2], res[i].AvgWaitHrs, res[i].done())
 	}
-	mira, err := l.runMZ(base.Clone(), 0, nil)
-	if err != nil {
-		return nil, err
-	}
-	t.AddRow("1x", "uniform", "Mira", mira.AvgWaitHrs, done(mira))
-
-	zc := periodicZC(0.5)
-	tr1, err := l.Trace(1)
-	if err != nil {
-		return nil, err
-	}
-	mz1, err := l.runMZ(tr1, 1, zc)
-	if err != nil {
-		return nil, err
-	}
-	t.AddRow("1x", "uniform", "M-Z", mz1.AvgWaitHrs, done(mz1))
-
-	tr15, err := l.Trace(1.5)
-	if err != nil {
-		return nil, err
-	}
-	mz15, err := l.runMZ(tr15, 1, zc)
-	if err != nil {
-		return nil, err
-	}
-	t.AddRow("1.5x", "uniform", "M-Z", mz15.AvgWaitHrs, done(mz15))
-
-	up := availability.Materialize(zc, 0, sim.Time(l.opt.WorkloadDays*float64(sim.Day)))
-	burst, err := l.BurstTrace(1.5, up)
-	if err != nil {
-		return nil, err
-	}
-	mzB, err := l.runMZ(burst, 1, zc)
-	if err != nil {
-		return nil, err
-	}
-	t.AddRow("1.5x", "burst", "M-Z", mzB.AvgWaitHrs, done(mzB))
-
-	if mira.AvgWaitHrs > 0 {
+	if mira, mz1, mz15 := res[0], res[1], res[2]; mira.AvgWaitHrs > 0 {
 		t.AddNote("same workload (1x): M-Z reduces wait %.0f%% (paper: >80%%)",
 			100*(1-mz1.AvgWaitHrs/mira.AvgWaitHrs))
 		t.AddNote("same utilization (M-Z@1.5x vs Mira@1x): %.0f%% (paper: ≈50%%)",
@@ -264,48 +171,37 @@ func Fig7(l *Lab) (*Table, error) {
 // Fig8 reproduces Figure 8: system throughput vs duty factor vs ZCCloud
 // size, at matched utilization (workload scale = 1 + duty × size).
 func Fig8(l *Lab) (*Table, error) {
+	sizes, duties := []float64{1, 2, 4}, []float64{0.25, 0.5, 1.0}
+	specs := []runSpec{l.mz(1, 0, nil)}
+	for _, size := range sizes {
+		for _, duty := range duties {
+			specs = append(specs, l.mz(1+duty*size, size, periodicZC(duty)))
+		}
+	}
+	res, err := l.runAll(specs)
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{
 		ID:      "fig8",
 		Title:   "Throughput (jobs/day) vs duty factor vs system size (same utilization)",
 		Columns: []string{"System", "Duty", "Workload", "Jobs/day", "Avg wait (h)", "Completed"},
 	}
-	base, err := l.BaseTrace()
-	if err != nil {
-		return nil, err
-	}
-	mira, err := l.runMZ(base.Clone(), 0, nil)
-	if err != nil {
-		return nil, err
-	}
-	t.AddRow("Mira", "-", "1x", mira.ThroughputJobsPerDay, mira.AvgWaitHrs, done(mira))
-
-	for _, size := range []float64{1, 2, 4} {
-		for _, duty := range []float64{0.25, 0.5, 1.0} {
-			scale := 1 + duty*size
-			tr, err := l.Trace(scale)
-			if err != nil {
-				return nil, err
-			}
-			m, err := l.runMZ(tr, size, periodicZC(duty))
-			if err != nil {
-				return nil, err
-			}
+	mira := res[0]
+	t.AddRow("Mira", "-", "1x", mira.ThroughputJobsPerDay, mira.AvgWaitHrs, mira.done())
+	next := res[1:]
+	for _, size := range sizes {
+		for _, duty := range duties {
+			m := next[0]
+			next = next[1:]
 			t.AddRow(fmt.Sprintf("M-Z %gxMira", size),
 				fmt.Sprintf("%.0f%%", duty*100),
-				fmt.Sprintf("%.2fx", scale),
-				m.ThroughputJobsPerDay, m.AvgWaitHrs, done(m))
+				fmt.Sprintf("%.2fx", 1+duty*size),
+				m.ThroughputJobsPerDay, m.AvgWaitHrs, m.done())
 		}
 	}
 	t.AddNote("paper: throughput scales with duty×size; {1x,50%%} ≈ {2x,25%%}")
 	return t, nil
-}
-
-// done summarizes completion for a metrics row ("yes" or the paper's "X").
-func done(m *core.Metrics) string {
-	if m.WorkloadCompleted {
-		return "yes"
-	}
-	return fmt.Sprintf("X (%d left)", m.Unfinished)
 }
 
 type accumMean struct {

@@ -38,48 +38,6 @@ func Resilience(l *Lab) (*Table, error) {
 		nodesPerFailure = 1
 	}
 
-	type row struct {
-		wait, goodput float64
-	}
-	run := func(fc *faults.Config, mtbf, ckpt sim.Duration, labels ...string) (row, error) {
-		tr, err := l.Trace(1)
-		if err != nil {
-			return row{}, err
-		}
-		sys := sysFor(l, 1, avail)
-		sys.NonOracle = true
-		if ckpt > 0 {
-			sys.CheckpointInterval = ckpt
-			sys.CheckpointOverhead = 2 * sim.Minute
-		}
-		if fc != nil && mtbf > 0 {
-			fc.Nodes = map[string]faults.NodeFailures{
-				core.ZCPartition: {MTBF: mtbf, WeibullShape: 0.7, NodesPerFailure: nodesPerFailure},
-			}
-		}
-		sys.Faults = fc
-		m, err := l.runSys(tr, sys)
-		if err != nil {
-			return row{}, err
-		}
-		useful := 0.0
-		for _, j := range tr.Jobs {
-			if j.Completed {
-				useful += j.NodeHours()
-			}
-		}
-		total := 0.0
-		for _, nh := range m.NodeHoursByPartition {
-			total += nh
-		}
-		goodput := 0.0
-		if total > 0 {
-			goodput = 100 * useful / total
-		}
-		t.AddRow(labels[0], labels[1], labels[2], m.AvgWaitHrs,
-			fmt.Sprintf("%.1f%%", goodput), m.Killed, m.Abandoned, done(m))
-		return row{wait: m.AvgWaitHrs, goodput: goodput}, nil
-	}
 	faultCfg := func() *faults.Config {
 		return &faults.Config{
 			Seed:          seed,
@@ -88,12 +46,27 @@ func Resilience(l *Lab) (*Table, error) {
 			RetryLimit:    opt.RetryLimit,
 		}
 	}
-
-	base, err := run(nil, 0, 0, "none", "off", "requeue-front")
-	if err != nil {
-		return nil, err
+	// Each run is labelled by its row's MTBF, checkpoint and policy cells.
+	var specs []runSpec
+	var labels [][3]string
+	add := func(fc *faults.Config, mtbf, ckpt sim.Duration, mtbfCell, ckptCell, policy string) {
+		r := l.mz(1, 1, avail)
+		r.sys.NonOracle = true
+		if ckpt > 0 {
+			r.sys.CheckpointInterval = ckpt
+			r.sys.CheckpointOverhead = 2 * sim.Minute
+		}
+		if fc != nil && mtbf > 0 {
+			fc.Nodes = map[string]faults.NodeFailures{
+				core.ZCPartition: {MTBF: mtbf, WeibullShape: 0.7, NodesPerFailure: nodesPerFailure},
+			}
+		}
+		r.sys.Faults = fc
+		specs = append(specs, r)
+		labels = append(labels, [3]string{mtbfCell, ckptCell, policy})
 	}
 
+	add(nil, 0, 0, "none", "off", "requeue-front")
 	sweep := []sim.Duration{6 * sim.Hour, 24 * sim.Hour}
 	if opt.FaultMTBFHours > 0 {
 		sweep = []sim.Duration{sim.Duration(opt.FaultMTBFHours * float64(sim.Hour))}
@@ -103,16 +76,37 @@ func Resilience(l *Lab) (*Table, error) {
 		0: "off", 15 * sim.Minute: "15 min", sim.Hour: "1 h", 4 * sim.Hour: "4 h",
 	}
 	for _, mtbf := range sweep {
+		for _, iv := range intervals {
+			add(faultCfg(), mtbf, iv, fmt.Sprintf("%.0f h", mtbf.Hours()), ckptLabel[iv], "requeue-front")
+		}
+	}
+	// Recovery-policy comparison at the harshest MTBF with 15-min checkpoints.
+	mtbf := sweep[0]
+	back := faultCfg()
+	back.Policy = faults.RequeueBack
+	back.Backoff = 5 * sim.Minute
+	add(back, mtbf, 15*sim.Minute, fmt.Sprintf("%.0f h", mtbf.Hours()), "15 min", "requeue-back, 5 min backoff")
+	bounded := faultCfg()
+	bounded.Backoff = 5 * sim.Minute
+	bounded.RetryLimit = 3
+	add(bounded, mtbf, 15*sim.Minute, fmt.Sprintf("%.0f h", mtbf.Hours()), "15 min", "requeue-front, retry ≤ 3")
+
+	res, err := l.runAll(specs)
+	if err != nil {
+		return nil, err
+	}
+	for i, m := range res {
+		t.AddRow(labels[i][0], labels[i][1], labels[i][2], m.AvgWaitHrs,
+			fmt.Sprintf("%.1f%%", m.goodputPct()), m.Killed, m.Abandoned, m.done())
+	}
+	swept := res[1:]
+	for _, mtbf := range sweep {
 		bestIv, bestGoodput := sim.Duration(0), -1.0
 		for _, iv := range intervals {
-			r, err := run(faultCfg(), mtbf, iv,
-				fmt.Sprintf("%.0f h", mtbf.Hours()), ckptLabel[iv], "requeue-front")
-			if err != nil {
-				return nil, err
+			if g := swept[0].goodputPct(); g > bestGoodput {
+				bestGoodput, bestIv = g, iv
 			}
-			if r.goodput > bestGoodput {
-				bestGoodput, bestIv = r.goodput, iv
-			}
+			swept = swept[1:]
 		}
 		yd := faults.YoungDaly(2*sim.Minute, mtbf)
 		t.AddNote("MTBF %.0f h: swept-best checkpoint interval %s (%.1f%% goodput); "+
@@ -120,26 +114,9 @@ func Resilience(l *Lab) (*Table, error) {
 			mtbf.Hours(), ckptLabel[bestIv], bestGoodput, float64(yd)/float64(sim.Minute))
 	}
 
-	// Recovery-policy comparison at the harshest MTBF with 15-min checkpoints.
-	mtbf := sweep[0]
-	back := faultCfg()
-	back.Policy = faults.RequeueBack
-	back.Backoff = 5 * sim.Minute
-	if _, err := run(back, mtbf, 15*sim.Minute,
-		fmt.Sprintf("%.0f h", mtbf.Hours()), "15 min", "requeue-back, 5 min backoff"); err != nil {
-		return nil, err
-	}
-	bounded := faultCfg()
-	bounded.Backoff = 5 * sim.Minute
-	bounded.RetryLimit = 3
-	if _, err := run(bounded, mtbf, 15*sim.Minute,
-		fmt.Sprintf("%.0f h", mtbf.Hours()), "15 min", "requeue-front, retry ≤ 3"); err != nil {
-		return nil, err
-	}
-
 	t.AddNote("fault-free baseline waits %.2f h; fault rows add node failures "+
 		"(Weibull shape 0.7, %d nodes per failure, 30 min repair), 30 min forecast-error SD, "+
-		"and brownout probability %.2f retaining half the partition", base.wait,
+		"and brownout probability %.2f retaining half the partition", res[0].AvgWaitHrs,
 		nodesPerFailure, opt.BrownoutProb)
 	t.AddNote("goodput = completed jobs' node-hours over delivered node-hours; " +
 		"the gap is re-executed work, checkpoint stalls, and abandoned attempts")

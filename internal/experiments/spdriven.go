@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"zccloud/internal/core"
+	"zccloud/internal/availability"
 	"zccloud/internal/forecast"
 	"zccloud/internal/sim"
 	"zccloud/internal/stats"
@@ -13,49 +13,40 @@ import (
 // Fig13 reproduces Figure 13: periodic resources vs SP-driven resources
 // at the same duty factor (1xMira ZCCloud, 1xWorkload).
 func Fig13(l *Lab) (*Table, error) {
-	t := &Table{
-		ID:      "fig13",
-		Title:   "Periodic vs SP-driven ZCCloud at matched duty factor (1xMira, 1xWorkload)",
-		Columns: []string{"SP model", "Duty factor", "Mira-only (h)", "Periodic (h)", "SP-driven (h)"},
-	}
-	base, err := l.BaseTrace()
-	if err != nil {
-		return nil, err
-	}
-	mira, err := l.runMZ(base.Clone(), 0, nil)
-	if err != nil {
-		return nil, err
-	}
-	for _, m := range stranded.PaperModels {
-		best, err := l.BestSite(m)
-		if err != nil {
+	best := make([]stranded.SiteStats, len(stranded.PaperModels))
+	specs := []runSpec{l.mz(1, 0, nil)}
+	for i, m := range stranded.PaperModels {
+		var err error
+		if best[i], err = l.BestSite(m); err != nil {
 			return nil, err
 		}
-		if best.DutyFactor <= 0 {
-			t.AddRow(m.String(), "0%", mira.AvgWaitHrs, "-", "-")
+		if best[i].DutyFactor <= 0 {
 			continue
 		}
 		spAvail, err := l.BestSiteAvailability(m)
 		if err != nil {
 			return nil, err
 		}
-		tr1, err := l.Trace(1)
-		if err != nil {
-			return nil, err
+		specs = append(specs, l.mz(1, 1, spAvail), l.mz(1, 1, periodicZC(best[i].DutyFactor)))
+	}
+	res, err := l.runAll(specs)
+	if err != nil {
+		return nil, err
+	}
+	t := &Table{
+		ID:      "fig13",
+		Title:   "Periodic vs SP-driven ZCCloud at matched duty factor (1xMira, 1xWorkload)",
+		Columns: []string{"SP model", "Duty factor", "Mira-only (h)", "Periodic (h)", "SP-driven (h)"},
+	}
+	mira, next := res[0], res[1:]
+	for i, m := range stranded.PaperModels {
+		if best[i].DutyFactor <= 0 {
+			t.AddRow(m.String(), "0%", mira.AvgWaitHrs, "-", "-")
+			continue
 		}
-		sp, err := l.runMZ(tr1, 1, spAvail)
-		if err != nil {
-			return nil, err
-		}
-		tr1b, err := l.Trace(1)
-		if err != nil {
-			return nil, err
-		}
-		per, err := l.runMZ(tr1b, 1, periodicZC(best.DutyFactor))
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(m.String(), fmt.Sprintf("%.1f%%", 100*best.DutyFactor),
+		sp, per := next[0], next[1]
+		next = next[2:]
+		t.AddRow(m.String(), fmt.Sprintf("%.1f%%", 100*best[i].DutyFactor),
 			mira.AvgWaitHrs, per.AvgWaitHrs, sp.AvgWaitHrs)
 	}
 	t.AddNote("paper: SP-driven ≈ periodic — slightly worse for LMP (short intervals), " +
@@ -63,48 +54,57 @@ func Fig13(l *Lab) (*Table, error) {
 	return t, nil
 }
 
+// waitSystem is one row of a wait-vs-workload grid: a ZCCloud of the
+// given size and availability next to Mira (size 0 is Mira alone).
+type waitSystem struct {
+	label string
+	size  float64
+	avail availability.Model
+}
+
+// waitGrid adds one row per system to t: its average wait at each
+// workload scale, or X where it cannot complete the workload.
+func (l *Lab) waitGrid(t *Table, scales []float64, systems []waitSystem) error {
+	var specs []runSpec
+	for _, sys := range systems {
+		for _, s := range scales {
+			specs = append(specs, l.mz(s, sys.size, sys.avail))
+		}
+	}
+	res, err := l.runAll(specs)
+	if err != nil {
+		return err
+	}
+	for _, sys := range systems {
+		row := []any{sys.label}
+		for _, m := range res[:len(scales)] {
+			row = append(row, waitOrX(m.AvgWaitHrs, m.WorkloadCompleted))
+		}
+		res = res[len(scales):]
+		t.AddRow(row...)
+	}
+	return nil
+}
+
 // Fig14 reproduces Figure 14: average wait vs workload scale vs SP model
 // (1xMira ZCCloud on the best site of each model).
 func Fig14(l *Lab) (*Table, error) {
 	scales := []float64{1, 1.25, 1.5}
-	t := &Table{
-		ID:      "fig14",
-		Title:   "Average wait (h) vs workload vs SP model (1xMira ZCCloud)",
-		Columns: append([]string{"System"}, scaleLabels(scales)...),
-	}
-	// Mira baseline row.
-	row := []any{"Mira"}
-	for _, s := range scales {
-		tr, err := l.Trace(s)
-		if err != nil {
-			return nil, err
-		}
-		m, err := l.runMZ(tr, 0, nil)
-		if err != nil {
-			return nil, err
-		}
-		row = append(row, waitOrX(m.AvgWaitHrs, m.WorkloadCompleted))
-	}
-	t.AddRow(row...)
-
+	systems := []waitSystem{{label: "Mira"}}
 	for _, mm := range stranded.PaperModels {
 		spAvail, err := l.BestSiteAvailability(mm)
 		if err != nil {
 			return nil, err
 		}
-		row := []any{"M-Z " + mm.String()}
-		for _, s := range scales {
-			tr, err := l.Trace(s)
-			if err != nil {
-				return nil, err
-			}
-			m, err := l.runMZ(tr, 1, spAvail)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, waitOrX(m.AvgWaitHrs, m.WorkloadCompleted))
-		}
-		t.AddRow(row...)
+		systems = append(systems, waitSystem{"M-Z " + mm.String(), 1, spAvail})
+	}
+	t := &Table{
+		ID:      "fig14",
+		Title:   "Average wait (h) vs workload vs SP model (1xMira ZCCloud)",
+		Columns: append([]string{"System"}, scaleLabels(scales)...),
+	}
+	if err := l.waitGrid(t, scales, systems); err != nil {
+		return nil, err
 	}
 	t.AddNote("X marks workloads the configuration cannot complete (paper's notation); " +
 		"paper: improvements range 20-90%%, LMP models fail at 1.5x")
@@ -115,43 +115,21 @@ func Fig14(l *Lab) (*Table, error) {
 // under the NetPrice0 model.
 func Fig15(l *Lab) (*Table, error) {
 	scales := []float64{1, 1.25, 1.5, 1.75}
-	sizes := []float64{1, 2, 4}
+	spAvail, err := l.BestSiteAvailability(stranded.Model{Kind: stranded.NetPrice, Threshold: 0})
+	if err != nil {
+		return nil, err
+	}
+	systems := []waitSystem{{label: "Mira"}}
+	for _, size := range []float64{1, 2, 4} {
+		systems = append(systems, waitSystem{fmt.Sprintf("M-Z %gxMira", size), size, spAvail})
+	}
 	t := &Table{
 		ID:      "fig15",
 		Title:   "Average wait (h) vs workload vs ZCCloud size (NetPrice0 SP-driven)",
 		Columns: append([]string{"System"}, scaleLabels(scales)...),
 	}
-	spAvail, err := l.BestSiteAvailability(stranded.Model{Kind: stranded.NetPrice, Threshold: 0})
-	if err != nil {
+	if err := l.waitGrid(t, scales, systems); err != nil {
 		return nil, err
-	}
-	row := []any{"Mira"}
-	for _, s := range scales {
-		tr, err := l.Trace(s)
-		if err != nil {
-			return nil, err
-		}
-		m, err := l.runMZ(tr, 0, nil)
-		if err != nil {
-			return nil, err
-		}
-		row = append(row, waitOrX(m.AvgWaitHrs, m.WorkloadCompleted))
-	}
-	t.AddRow(row...)
-	for _, size := range sizes {
-		row := []any{fmt.Sprintf("M-Z %gxMira", size)}
-		for _, s := range scales {
-			tr, err := l.Trace(s)
-			if err != nil {
-				return nil, err
-			}
-			m, err := l.runMZ(tr, size, spAvail)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, waitOrX(m.AvgWaitHrs, m.WorkloadCompleted))
-		}
-		t.AddRow(row...)
 	}
 	t.AddNote("paper: each added ZCCloud increment lowers waits; 2xMira absorbs 1.75x workload")
 	return t, nil
@@ -169,28 +147,31 @@ func Multisite(l *Lab) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := l.SPNodeResults(stranded.Model{Kind: stranded.NetPrice, Threshold: 0})
+	model := stranded.Model{Kind: stranded.NetPrice, Threshold: 0}
+	res, err := l.SPNodeResults(model)
 	if err != nil {
 		return nil, err
 	}
 	cum := stranded.CumulativeDutyFactor(res, observed)
+	var sites []int
+	var specs []runSpec
 	for _, n := range []int{1, 3, 7} {
 		if n > len(res) {
 			break
 		}
-		avail, err := l.MultiSiteAvailability(stranded.Model{Kind: stranded.NetPrice, Threshold: 0}, n)
+		avail, err := l.MultiSiteAvailability(model, n)
 		if err != nil {
 			return nil, err
 		}
-		tr, err := l.Trace(1)
-		if err != nil {
-			return nil, err
-		}
-		m, err := l.runMZ(tr, 1, avail)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(n, fmt.Sprintf("%.1f%%", 100*cum[n-1]), m.AvgWaitHrs)
+		sites = append(sites, n)
+		specs = append(specs, l.mz(1, 1, avail))
+	}
+	runs, err := l.runAll(specs)
+	if err != nil {
+		return nil, err
+	}
+	for i, n := range sites {
+		t.AddRow(n, fmt.Sprintf("%.1f%%", 100*cum[n-1]), runs[i].AvgWaitHrs)
 	}
 	return t, nil
 }
@@ -199,37 +180,24 @@ func Multisite(l *Lab) (*Table, error) {
 // without the window-end oracle, killing and resubmitting interrupted
 // jobs.
 func KillRequeue(l *Lab) (*Table, error) {
+	spAvail, err := l.BestSiteAvailability(stranded.Model{Kind: stranded.NetPrice, Threshold: 0})
+	if err != nil {
+		return nil, err
+	}
+	oracle := l.mz(1, 1, spAvail)
+	blind := oracle
+	blind.sys.NonOracle = true
+	res, err := l.runAll([]runSpec{oracle, blind})
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{
 		ID:      "killrequeue",
 		Title:   "Ablation: oracle vs kill/requeue scheduling (NetPrice0, 1xMira, 1xWorkload)",
 		Columns: []string{"Mode", "Avg wait (h)", "Completed", "Requeued jobs"},
 	}
-	spAvail, err := l.BestSiteAvailability(stranded.Model{Kind: stranded.NetPrice, Threshold: 0})
-	if err != nil {
-		return nil, err
-	}
-	for _, oracle := range []bool{true, false} {
-		tr, err := l.Trace(1)
-		if err != nil {
-			return nil, err
-		}
-		sys := sysFor(l, 1, spAvail)
-		sys.NonOracle = !oracle
-		m, err := l.runSys(tr, sys)
-		if err != nil {
-			return nil, err
-		}
-		requeued := 0
-		for _, j := range tr.Jobs {
-			if j.Requeues > 0 {
-				requeued++
-			}
-		}
-		mode := "oracle"
-		if !oracle {
-			mode = "kill/requeue"
-		}
-		t.AddRow(mode, m.AvgWaitHrs, done(m), requeued)
+	for i, mode := range []string{"oracle", "kill/requeue"} {
+		t.AddRow(mode, res[i].AvgWaitHrs, res[i].done(), res[i].requeued)
 	}
 	return t, nil
 }
@@ -264,10 +232,6 @@ func Prediction(l *Lab) (*Table, error) {
 	}
 	quantile := func(p float64) float64 { return stats.Percentile(durations, p) }
 
-	type variant struct {
-		name   string
-		mutate func(*core.SystemConfig)
-	}
 	durSamples := make([]sim.Duration, len(best.Intervals))
 	for i, iv := range best.Intervals {
 		durSamples[i] = sim.Duration(iv.Hours() * float64(sim.Hour))
@@ -276,50 +240,29 @@ func Prediction(l *Lab) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	variants := []variant{
-		{"oracle (paper)", func(c *core.SystemConfig) {}},
-		{"blind kill/requeue", func(c *core.SystemConfig) { c.NonOracle = true }},
-		{fmt.Sprintf("fixed median (%.1f h)", quantile(50)), func(c *core.SystemConfig) {
-			c.NonOracle = true
-			c.PredictedWindow = sim.Duration(quantile(50) * float64(sim.Hour))
-		}},
-		{fmt.Sprintf("fixed p90 (%.1f h)", quantile(90)), func(c *core.SystemConfig) {
-			c.NonOracle = true
-			c.PredictedWindow = sim.Duration(quantile(90) * float64(sim.Hour))
-		}},
-		{"hazard (age-aware median)", func(c *core.SystemConfig) {
-			c.NonOracle = true
-			c.Predictor = hazard
-		}},
+	oracle := l.mz(1, 1, spAvail)
+	blind := oracle
+	blind.sys.NonOracle = true
+	fixed := func(hours float64) runSpec {
+		r := blind
+		r.sys.PredictedWindow = sim.Duration(hours * float64(sim.Hour))
+		return r
 	}
-	for _, v := range variants {
-		tr, err := l.Trace(1)
-		if err != nil {
-			return nil, err
-		}
-		sys := sysFor(l, 1, spAvail)
-		v.mutate(&sys)
-		m, err := l.runSys(tr, sys)
-		if err != nil {
-			return nil, err
-		}
-		requeued, wastedNH, usefulNH := 0, 0.0, 0.0
-		for _, j := range tr.Jobs {
-			if j.Requeues > 0 {
-				requeued++
-			}
-			if j.Completed {
-				usefulNH += j.NodeHours()
-			}
-		}
-		var totalNH float64
-		for _, nh := range m.NodeHoursByPartition {
-			totalNH += nh
-		}
-		if totalNH > usefulNH {
-			wastedNH = 100 * (totalNH - usefulNH) / totalNH
-		}
-		t.AddRow(v.name, m.AvgWaitHrs, done(m), requeued, fmt.Sprintf("%.1f%%", wastedNH))
+	aware := blind
+	aware.sys.Predictor = hazard
+	res, err := l.runAll([]runSpec{oracle, blind, fixed(quantile(50)), fixed(quantile(90)), aware})
+	if err != nil {
+		return nil, err
+	}
+	for i, name := range []string{
+		"oracle (paper)",
+		"blind kill/requeue",
+		fmt.Sprintf("fixed median (%.1f h)", quantile(50)),
+		fmt.Sprintf("fixed p90 (%.1f h)", quantile(90)),
+		"hazard (age-aware median)",
+	} {
+		m := res[i]
+		t.AddRow(name, m.AvgWaitHrs, m.done(), m.requeued, fmt.Sprintf("%.1f%%", m.wastedPct()))
 	}
 	t.AddNote("wasted node-hours are partial executions lost to kills; fixed-duration " +
 		"predictors underperform blind kill/requeue for two reasons: interval COUNTS are " +
