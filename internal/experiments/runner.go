@@ -395,21 +395,7 @@ func (r *sweepRunner) runCell(lab *Lab, e Experiment) (CellRecord, error) {
 	}
 
 	done := make(chan cellOutcome, 1)
-	go func() {
-		var out cellOutcome
-		defer func() {
-			if p := recover(); p != nil {
-				out = cellOutcome{
-					err:      fmt.Errorf("panic: %v", p),
-					panicked: true,
-					stack:    debug.Stack(),
-				}
-			}
-			done <- out
-		}()
-		t, err := e.Run(lab)
-		out = cellOutcome{table: t, err: err}
-	}()
+	go func() { done <- runGuarded(lab, e) }()
 
 	var hard <-chan time.Time
 	if r.cfg.CellTimeout > 0 {
@@ -437,7 +423,7 @@ func (r *sweepRunner) runCell(lab *Lab, e Experiment) (CellRecord, error) {
 			e.ID, errCellWedged, r.cfg.CellTimeout+r.cfg.Grace)
 	}
 
-	rec := CellRecord{ID: e.ID, ElapsedMS: time.Since(start).Milliseconds()}
+	rec, interrupted := cellRecord(e.ID, time.Since(start), out)
 	if cellTm != nil {
 		lab.SetObs(baseObs)
 		spans := cellTm.Snapshot()
@@ -450,33 +436,19 @@ func (r *sweepRunner) runCell(lab *Lab, e Experiment) (CellRecord, error) {
 		}
 	}
 	switch {
-	case out.panicked:
-		rec.Status = CellPanic
-		rec.Error = out.err.Error()
-		rec.Stack = string(out.stack)
+	case interrupted && r.watchdog.Load():
+		rec.Status = CellTimeout
+		rec.Error = fmt.Sprintf("watchdog: cell exceeded its %v budget: %v", r.cfg.CellTimeout, out.err)
+	case interrupted:
+		// External interrupt: not the cell's fault — don't journal.
+		return rec, fmt.Errorf("experiments: cell %s stopped: %w", e.ID, sched.ErrInterrupted)
+	case rec.Status == CellPanic:
 		if t := r.cfg.Obs.Tracer; t != nil {
 			t.Trace(obs.Event{Kind: obs.EvCellPanic, Job: -1})
 		}
 		if m := r.cfg.Obs.Metrics; m != nil {
 			m.Scope("sweep").Counter("cell_panics").Inc()
 		}
-	case out.err != nil && errors.Is(out.err, sched.ErrInterrupted):
-		if r.watchdog.Load() {
-			rec.Status = CellTimeout
-			rec.Error = fmt.Sprintf("watchdog: cell exceeded its %v budget: %v", r.cfg.CellTimeout, out.err)
-		} else {
-			// External interrupt: not the cell's fault — don't journal.
-			return rec, fmt.Errorf("experiments: cell %s stopped: %w", e.ID, sched.ErrInterrupted)
-		}
-	case out.err != nil:
-		rec.Status = CellError
-		rec.Error = out.err.Error()
-	case out.table == nil:
-		rec.Status = CellError
-		rec.Error = "experiment returned no table"
-	default:
-		rec.Status = CellOK
-		rec.Table = out.table
 	}
 	return rec, nil
 }
@@ -491,13 +463,20 @@ func (r *sweepRunner) runCell(lab *Lab, e Experiment) (CellRecord, error) {
 func ExecuteCell(lab *Lab, e Experiment) (rec CellRecord, interrupted bool) {
 	start := time.Now()
 	out := runGuarded(lab, e)
-	rec = CellRecord{ID: e.ID, ElapsedMS: time.Since(start).Milliseconds()}
+	return cellRecord(e.ID, time.Since(start), out)
+}
+
+// cellRecord maps a cell's outcome to its journal record. A cell that
+// an interrupt stopped yields interrupted=true and a status-less record:
+// it produced no result, and what the stop means is the caller's call.
+func cellRecord(id string, elapsed time.Duration, out cellOutcome) (rec CellRecord, interrupted bool) {
+	rec = CellRecord{ID: id, ElapsedMS: elapsed.Milliseconds()}
 	switch {
 	case out.panicked:
 		rec.Status = CellPanic
 		rec.Error = out.err.Error()
 		rec.Stack = string(out.stack)
-	case out.err != nil && errors.Is(out.err, sched.ErrInterrupted):
+	case errors.Is(out.err, sched.ErrInterrupted):
 		return rec, true
 	case out.err != nil:
 		rec.Status = CellError
