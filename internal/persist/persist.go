@@ -20,6 +20,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -158,9 +159,14 @@ func SaveJSON(path, kind string, version int, body any) error {
 	return WriteFileAtomic(path, append(blob, '\n'), 0o644)
 }
 
+// ErrVersion reports a document written at another version than the
+// one the reader asked for, typically by an older or newer build.
+var ErrVersion = errors.New("persist: version mismatch")
+
 // LoadJSON reads a document written by SaveJSON, verifying the kind tag,
 // version, and checksum before unmarshaling into out. A mismatch is a
-// descriptive error, never a silently misparsed document.
+// descriptive error, never a silently misparsed document; a version
+// mismatch wraps ErrVersion.
 func LoadJSON(path, kind string, version int, out any) error {
 	blob, err := os.ReadFile(path)
 	if err != nil {
@@ -174,8 +180,8 @@ func LoadJSON(path, kind string, version int, out any) error {
 		return fmt.Errorf("persist: %s holds a %q document, want %q", path, env.Kind, kind)
 	}
 	if env.Version != version {
-		return fmt.Errorf("persist: %s is %s version %d, this build reads version %d",
-			path, kind, env.Version, version)
+		return fmt.Errorf("%w: %s is %s version %d, this build reads version %d",
+			ErrVersion, path, kind, env.Version, version)
 	}
 	sum := sha256.Sum256(env.Body)
 	if got := hex.EncodeToString(sum[:]); got != env.SHA256 {

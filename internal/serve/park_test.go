@@ -4,12 +4,14 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
 	"zccloud/internal/admit"
 	"zccloud/internal/core"
 	"zccloud/internal/obs"
+	"zccloud/internal/persist"
 	"zccloud/internal/sched"
 	"zccloud/internal/tracebin"
 )
@@ -127,6 +129,66 @@ func TestDrainedRunResumesOnRestart(t *testing.T) {
 	}
 	if fileExists(snapFile) {
 		t.Fatal("snapshot not cleaned up after completion")
+	}
+}
+
+// TestOldSnapshotRerunsFromSpec: a run parked by an older build holds a
+// snapshot in a format this build cannot read. The successor re-runs it
+// from its journaled spec, to a fresh run's metrics, instead of failing.
+func TestOldSnapshotRerunsFromSpec(t *testing.T) {
+	dir := t.TempDir()
+	spec := tinySpec().withDefaults()
+	refCfg, err := spec.runConfig(obs.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.Run(refCfg)
+	if err != nil {
+		t.Fatalf("reference run: %v", err)
+	}
+
+	a, err := New(Config{Workers: 1, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.execHook = func(ctx context.Context, sp Spec) (*core.Metrics, error) {
+		<-ctx.Done()
+		return nil, &core.Interrupted{Snapshot: &sched.Snapshot{}}
+	}
+	info, err := a.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if st, _ := a.Get(info.ID); st.State == StateRunning {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	if err := a.Drain(ctx); err != nil {
+		t.Fatalf("Drain A: %v", err)
+	}
+	if st, _ := a.Get(info.ID); st.State != StateCheckpointed {
+		t.Fatalf("state after drain = %s (%s), want checkpointed", st.State, st.Error)
+	}
+	// The older build's park: the same envelope at snapshot version 1.
+	snapFile := filepath.Join(dir, info.ID+".snapshot.json")
+	if err := persist.SaveJSON(snapFile, "zccloud-snapshot", 1, struct{}{}); err != nil {
+		t.Fatal(err)
+	}
+
+	b := newTestServer(t, Config{Workers: 1, DataDir: dir})
+	final := waitTerminal(t, b, info.ID)
+	if final.State != StateDone {
+		t.Fatalf("state = %s (%s), want done", final.State, final.Error)
+	}
+	if !reflect.DeepEqual(final.Metrics, want) {
+		t.Fatalf("re-run metrics %+v, want a fresh run's %+v", final.Metrics, want)
+	}
+	if fileExists(snapFile) {
+		t.Fatal("old snapshot not cleaned up after completion")
 	}
 }
 

@@ -420,7 +420,8 @@ func (s *Server) readoptRuns(open []journalRecord) {
 
 // takeResume hands execute the snapshot a parked run should resume
 // from: the in-memory one if the park could not persist, else the
-// durable one loaded lazily. nil means run from the spec.
+// durable one loaded lazily. nil means run from the spec, as does a
+// snapshot another build wrote in a format this one cannot read.
 func (s *Server) takeResume(r *run) (*sched.Snapshot, error) {
 	r.mu.Lock()
 	snap, path := r.resumeSnap, r.checkpoint
@@ -433,6 +434,10 @@ func (s *Server) takeResume(r *run) (*sched.Snapshot, error) {
 		return nil, nil
 	}
 	snap, err := sched.LoadSnapshot(path)
+	if errors.Is(err, persist.ErrVersion) {
+		r.log.Warn("park snapshot from another build; re-running from the spec", "err", err.Error())
+		return nil, nil
+	}
 	if err != nil {
 		return nil, fmt.Errorf("serve: loading park snapshot: %v", err)
 	}
