@@ -62,16 +62,24 @@ func (o Options) withDefaults() Options {
 }
 
 // Lab memoizes the artifacts experiments share: workload traces at each
-// scale/shape and the one-pass stranded-power analysis of the market
-// dataset. The market pass runs its generator on a second goroutine
-// internally (miso.Generator.Stream), but a Lab is still not safe for
-// concurrent use.
+// scale/shape, the one-pass stranded-power analysis of the market
+// dataset, the SP availability traces built from it, and the result of
+// every simulation it has run. The market pass runs its generator on a
+// second goroutine internally (miso.Generator.Stream), but a Lab is
+// still not safe for concurrent use.
 type Lab struct {
 	opt Options
 	obs obs.Options
 
 	baseTrace *job.Trace
 	scaled    map[string]*job.Trace
+	runs      map[runKey]runResult
+
+	// SP availability per model and per (model, top-N union). A run's
+	// memo key compares its availability by pointer, so identical SP
+	// availability must be the identical trace.
+	bestAvail  map[stranded.Model]*availability.IntervalTrace
+	multiAvail map[multiSite]*availability.IntervalTrace
 
 	spDone     bool
 	spResults  map[stranded.Model][]stranded.SiteStats // per wind unit
@@ -86,6 +94,9 @@ func NewLab(opt Options) *Lab {
 	return &Lab{
 		opt:        opt.withDefaults(),
 		scaled:     make(map[string]*job.Trace),
+		runs:       make(map[runKey]runResult),
+		bestAvail:  make(map[stranded.Model]*availability.IntervalTrace),
+		multiAvail: make(map[multiSite]*availability.IntervalTrace),
 		spResults:  make(map[stranded.Model][]stranded.SiteStats),
 		spNodes:    make(map[stranded.Model][]stranded.SiteStats),
 		nodeRegion: make(map[int]int),
@@ -222,8 +233,29 @@ func (l *Lab) mz(scale, zcFactor float64, avail availability.Model) runSpec {
 	return r
 }
 
+// runKey identifies a simulation within a Lab: the trace it replays,
+// the whole system (availability compared by identity), and the model
+// its jobs are classified against. Runs with equal keys give equal
+// results.
+type runKey struct {
+	trace    string
+	sys      core.SystemConfig
+	classify availability.Model
+}
+
+// key returns s's memo key. ok is false when s injects faults or
+// predicts window ends: those configs hold maps or opaque state, so
+// such a run is always simulated and never stored.
+func (s runSpec) key() (k runKey, ok bool) {
+	if s.sys.Faults != nil || s.sys.Predictor != nil {
+		return runKey{}, false
+	}
+	return runKey{trace: s.trace.key(), sys: s.sys, classify: s.classify}, true
+}
+
 // runResult is one run's metrics plus the per-job tallies tables read
-// from its trace.
+// from its trace. The Lab may hand one result to several experiments,
+// so tables only read it.
 type runResult struct {
 	*core.Metrics
 	requeued     int       // jobs requeued at least once
@@ -232,48 +264,72 @@ type runResult struct {
 }
 
 // runAll runs specs in order, with the Lab's telemetry attached, and
-// returns their results in the same order. It resolves a run's trace
+// returns their results in the same order. A spec that repeats a run
+// the Lab has already finished reuses its result (counted as
+// run.reused) instead of simulating again. It resolves a run's trace
 // only when the run starts and reduces it to the tallies before the
 // next, so a run's trace is dropped as soon as it has been read. The
-// first error stops it.
+// first error stops it; a failed or interrupted run is not stored.
 func (l *Lab) runAll(specs []runSpec) ([]runResult, error) {
 	out := make([]runResult, len(specs))
+	reused := l.obs.Metrics.Counter("run.reused")
 	var master *job.Trace
+	var masterKey string
 	for i, s := range specs {
-		// Consecutive runs of one trace share its master, so a campaign
-		// trace is generated once for all of them.
-		if i == 0 || s.trace.key() != specs[i-1].trace.key() {
+		key, memo := s.key()
+		if r, ok := l.runs[key]; memo && ok {
+			reused.Inc()
+			out[i] = r
+			continue
+		}
+		// Runs of one trace share its master while no other trace comes
+		// between them, so a campaign trace is generated once for all of
+		// them.
+		if tk := s.trace.key(); master == nil || tk != masterKey {
 			var err error
 			if master, err = l.master(s.trace); err != nil {
 				return nil, err
 			}
+			masterKey = tk
 		}
-		tr := master.Clone()
-		m, err := core.Run(core.RunConfig{Trace: tr, System: s.sys, Obs: l.obs})
+		res, err := l.simulate(master.Clone(), s)
 		if err != nil {
 			return nil, err
 		}
-		res := runResult{Metrics: m}
-		for _, j := range tr.Jobs {
-			if j.Requeues > 0 {
-				res.requeued++
-			}
-			if !j.Completed {
-				continue
-			}
-			res.usefulNH += j.NodeHours()
-			if s.classify == nil {
-				continue
-			}
-			if w, ok := s.classify.WindowAt(j.Submit); ok && j.Submit+j.Runtime <= w.End {
-				res.onTime.add(j.Wait().Hours())
-			} else {
-				res.late.add(j.Wait().Hours())
-			}
+		if memo {
+			l.runs[key] = res
 		}
 		out[i] = res
 	}
 	return out, nil
+}
+
+// simulate runs s on tr, a clone the run may consume, and reduces tr to
+// the tallies tables read.
+func (l *Lab) simulate(tr *job.Trace, s runSpec) (runResult, error) {
+	m, err := core.Run(core.RunConfig{Trace: tr, System: s.sys, Obs: l.obs})
+	if err != nil {
+		return runResult{}, err
+	}
+	res := runResult{Metrics: m}
+	for _, j := range tr.Jobs {
+		if j.Requeues > 0 {
+			res.requeued++
+		}
+		if !j.Completed {
+			continue
+		}
+		res.usefulNH += j.NodeHours()
+		if s.classify == nil {
+			continue
+		}
+		if w, ok := s.classify.WindowAt(j.Submit); ok && j.Submit+j.Runtime <= w.End {
+			res.onTime.add(j.Wait().Hours())
+		} else {
+			res.late.add(j.Wait().Hours())
+		}
+	}
+	return res, nil
 }
 
 // deliveredNH is the node-hours the run delivered over all partitions.
@@ -458,17 +514,29 @@ func (l *Lab) BestSite(m stranded.Model) (stranded.SiteStats, error) {
 
 // BestSiteAvailability converts the best site's SP intervals under a
 // model into an availability trace for the ZCCloud partition, repeating
-// or truncating to cover the workload span.
+// or truncating to cover the workload span. It is memoized per model.
 func (l *Lab) BestSiteAvailability(m stranded.Model) (*availability.IntervalTrace, error) {
+	if t, ok := l.bestAvail[m]; ok {
+		return t, nil
+	}
 	best, err := l.BestSite(m)
 	if err != nil {
 		return nil, err
 	}
-	return l.tiled(stranded.Windows(best.Intervals)), nil
+	t := l.tiled(stranded.Windows(best.Intervals))
+	l.bestAvail[m] = t
+	return t, nil
+}
+
+// multiSite names the union availability of a model's top-n wind nodes.
+type multiSite struct {
+	m stranded.Model
+	n int
 }
 
 // MultiSiteAvailability returns the union availability of the top-N wind
-// nodes under a model (Section VIII future work: multi-site ZCCloud).
+// nodes under a model (Section VIII future work: multi-site ZCCloud). It
+// is memoized per model and N.
 func (l *Lab) MultiSiteAvailability(m stranded.Model, n int) (*availability.IntervalTrace, error) {
 	res, err := l.SPNodeResults(m)
 	if err != nil {
@@ -477,11 +545,16 @@ func (l *Lab) MultiSiteAvailability(m stranded.Model, n int) (*availability.Inte
 	if n > len(res) {
 		n = len(res)
 	}
+	if t, ok := l.multiAvail[multiSite{m, n}]; ok {
+		return t, nil
+	}
 	var all []availability.Window
 	for i := 0; i < n; i++ {
 		all = append(all, stranded.Windows(res[i].Intervals)...)
 	}
-	return l.tiled(availability.Normalize(all)), nil
+	t := l.tiled(availability.Normalize(all))
+	l.multiAvail[multiSite{m, n}] = t
+	return t, nil
 }
 
 // tiled turns market-span windows into an availability trace. The

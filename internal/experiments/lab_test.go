@@ -5,9 +5,12 @@ import (
 	"reflect"
 	"testing"
 
+	"zccloud/internal/availability"
+	"zccloud/internal/faults"
 	"zccloud/internal/miso"
 	"zccloud/internal/obs"
 	"zccloud/internal/sched"
+	"zccloud/internal/sim"
 	"zccloud/internal/stranded"
 )
 
@@ -89,16 +92,158 @@ func TestLabMarketPassMatchesSequential(t *testing.T) {
 }
 
 // TestRunAllStopsAtInterrupt: the executor hands an interrupt back
-// unchanged and resolves no trace for the runs after it.
+// unchanged, resolves no trace for the runs after it and stores nothing,
+// so an uninterrupted retry simulates the interrupted run.
 func TestRunAllStopsAtInterrupt(t *testing.T) {
 	l := NewLab(Options{Seed: 1, WorkloadDays: 3, MiraNodes: 4096})
-	l.SetObs(obs.Options{Interrupt: func() bool { return true }})
-	res, err := l.runAll([]runSpec{l.mz(1, 0, nil), l.mz(1.5, 1, periodicZC(0.5))})
+	stop := true
+	reg := obs.NewRegistry()
+	l.SetObs(obs.Options{Metrics: reg, Interrupt: func() bool { return stop }})
+	specs := []runSpec{l.mz(1, 0, nil), l.mz(1.5, 1, periodicZC(0.5))}
+	res, err := l.runAll(specs)
 	if !errors.Is(err, sched.ErrInterrupted) || res != nil {
 		t.Fatalf("runAll = %v, %v; want no results and sched.ErrInterrupted", res, err)
 	}
 	if len(l.scaled) != 0 {
 		t.Errorf("memoized %d traces; want none, the 1.5x run never started", len(l.scaled))
+	}
+
+	stop = false
+	if res, err = l.runAll(specs); err != nil || len(res) != 2 {
+		t.Fatalf("retry: runAll = %v, %v", res, err)
+	}
+	snap := reg.Snapshot()
+	if sims, reused := snap.Counter("run.simulations"), snap.Counter("run.reused"); sims != 2 || reused != 0 {
+		t.Errorf("retry simulated %d and reused %d runs; want 2 and 0", sims, reused)
+	}
+}
+
+// TestRunAllReusesIdenticalRuns: Figure 6 repeats Figure 5's two M-Z
+// runs, so after Figure 5 it simulates only its classified baseline, and
+// its table is the one a fresh Lab renders.
+func TestRunAllReusesIdenticalRuns(t *testing.T) {
+	opt := Options{Seed: 1, WorkloadDays: 3, MiraNodes: 4096}
+	l := NewLab(opt)
+	reg := obs.NewRegistry()
+	l.SetObs(obs.Options{Metrics: reg})
+	if _, err := Fig5(l); err != nil {
+		t.Fatal(err)
+	}
+	before := reg.Snapshot()
+	warm, err := Fig6(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := reg.Snapshot()
+	sims := after.Counter("run.simulations") - before.Counter("run.simulations")
+	reused := after.Counter("run.reused") - before.Counter("run.reused")
+	if sims != 1 || reused != 2 {
+		t.Errorf("fig6 after fig5 simulated %d and reused %d runs; want 1 and 2", sims, reused)
+	}
+	cold, err := Fig6(NewLab(opt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Markdown() != cold.Markdown() {
+		t.Errorf("fig6 on a warm Lab:\n%s\non a fresh Lab:\n%s", warm.Markdown(), cold.Markdown())
+	}
+}
+
+// fixedEnd is a window-end predictor for key tests.
+type fixedEnd sim.Duration
+
+func (f fixedEnd) PredictedEnd(start, now sim.Time) sim.Time { return start + sim.Time(f) }
+
+// TestRunKeyDistinguishesSpecs: a run's memo key changes with every
+// SystemConfig field, the trace and the classification model, and specs
+// that inject faults or predict window ends have no key.
+func TestRunKeyDistinguishesSpecs(t *testing.T) {
+	l := NewLab(Options{Seed: 1, WorkloadDays: 3, MarketDays: 5, WindSites: 12, MiraNodes: 4096})
+	base := l.mz(1, 1, periodicZC(0.5))
+	baseKey, ok := base.key()
+	if !ok {
+		t.Fatal("a plain M-Z run has no key")
+	}
+	keys := map[runKey]string{baseKey: "base"}
+	distinct := func(name string, s runSpec) {
+		t.Helper()
+		k, ok := s.key()
+		if !ok {
+			t.Errorf("%s: no key", name)
+			return
+		}
+		if prev, dup := keys[k]; dup {
+			t.Errorf("%s: same key as %s", name, prev)
+		}
+		keys[k] = name
+	}
+
+	v := reflect.ValueOf(&base.sys).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		name := v.Type().Field(i).Name
+		s := base
+		f := reflect.ValueOf(&s.sys).Elem().Field(i)
+		switch name {
+		case "Faults":
+			s.sys.Faults = &faults.Config{}
+			if _, ok := s.key(); ok {
+				t.Error("a spec with faults has a key")
+			}
+			continue
+		case "Predictor":
+			s.sys.Predictor = fixedEnd(sim.Hour)
+			if _, ok := s.key(); ok {
+				t.Error("a spec with a predictor has a key")
+			}
+			continue
+		case "ZCAvail":
+			s.sys.ZCAvail = periodicZC(0.25)
+		default:
+			switch f.Kind() {
+			case reflect.Int:
+				f.SetInt(f.Int() + 1)
+			case reflect.Float64:
+				f.SetFloat(f.Float() + 1)
+			case reflect.Bool:
+				f.SetBool(!f.Bool())
+			default:
+				t.Fatalf("SystemConfig.%s: no flip for kind %v", name, f.Kind())
+			}
+		}
+		distinct(name, s)
+	}
+
+	scaled := base
+	scaled.trace.scale = 1.5
+	distinct("trace scale", scaled)
+	burst := base
+	burst.trace.burst = true
+	distinct("burst trace", burst)
+	campaign := base
+	campaign.trace = traceSpec{campaign: 2}
+	distinct("campaign trace", campaign)
+	classified := base
+	classified.classify = periodicZC(0.5)
+	distinct("classify", classified)
+
+	// Identical SP availability is the identical trace, so runs on it
+	// share a key.
+	model := stranded.Model{Kind: stranded.NetPrice}
+	for name, avail := range map[string]func() (*availability.IntervalTrace, error){
+		"BestSiteAvailability":  func() (*availability.IntervalTrace, error) { return l.BestSiteAvailability(model) },
+		"MultiSiteAvailability": func() (*availability.IntervalTrace, error) { return l.MultiSiteAvailability(model, 3) },
+	} {
+		first, err := avail()
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := avail()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first != again {
+			t.Errorf("%s built a second trace for the same arguments", name)
+		}
 	}
 }
 

@@ -19,6 +19,9 @@ func MetricsSummary(snap obs.Snapshot) *Table {
 	}
 	row := func(label string, v any) { t.AddRow(label, v) }
 	row("Simulations run", snap.Counter("run.simulations"))
+	if n, ok := snap.Counters["run.reused"]; ok {
+		row("Simulations reused", n)
+	}
 	row("Scheduler passes", snap.Counter("sched.passes"))
 	row("Jobs started", snap.Counter("sched.jobs_started"))
 	row("Jobs backfilled", snap.Counter("sched.jobs_backfilled"))
@@ -37,6 +40,10 @@ func MetricsSummary(snap obs.Snapshot) *Table {
 		t.AddNote("%d jobs unfinished at a deadline across all simulations", n)
 	}
 	t.AddNote("full snapshot available via -metrics; counters accumulate across all simulations of the run")
+	if _, ok := snap.Counters["run.reused"]; ok {
+		t.AddNote("a reused simulation repeats one the run already did and is not simulated again: " +
+			"the other counters, the wait histogram and -trace cover each distinct simulation once")
+	}
 	return t
 }
 

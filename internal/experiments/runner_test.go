@@ -359,8 +359,9 @@ func TestSweepAllExperimentsTiny(t *testing.T) {
 			t.Errorf("cell %s: table digest %s, want %s", e.ID, got, tinyTableDigests[e.ID])
 		}
 	}
-	if got := snap.Counter("run.simulations"); got != tinySimulations {
-		t.Errorf("simulations run = %d, want %d", got, tinySimulations)
+	sims, reused := snap.Counter("run.simulations"), snap.Counter("run.reused")
+	if sims+reused != tinyRuns || reused != tinyReused {
+		t.Errorf("simulations run %d + reused %d; want %d + %d", sims, reused, tinyRuns-tinyReused, tinyReused)
 	}
 	if got := snap.Counter("sim.events_dispatched"); got != tinyEvents {
 		t.Errorf("events dispatched = %d, want %d", got, tinyEvents)
@@ -368,8 +369,9 @@ func TestSweepAllExperimentsTiny(t *testing.T) {
 }
 
 // Pinned outputs of TestSweepAllExperimentsTiny: the SHA-256 of each
-// cell's Markdown table, and the registry's simulation and dispatched
-// event counts over the whole sweep.
+// cell's Markdown table, the runs the experiments declare and how many
+// of them repeat an earlier run of the sweep's Lab, and the registry's
+// dispatched event count over the whole sweep.
 var tinyTableDigests = map[string]string{
 	"table1":      "4f1f037f2349ce199beaf812bf7ffad023605ba9eb34fbe458796067fd8c3301",
 	"table2":      "545eefa7297b5acb7fdfbbe6757471ef1679b980d17d14c9afc798af0b9ce718",
@@ -402,8 +404,9 @@ var tinyTableDigests = map[string]string{
 }
 
 const (
-	tinySimulations = 91
-	tinyEvents      = 453387
+	tinyRuns   = 91
+	tinyReused = 28
+	tinyEvents = 337553
 )
 
 // TestSweepContextCancelBetweenCells: SweepConfig.Context is the
