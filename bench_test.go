@@ -14,30 +14,37 @@ import (
 	"testing"
 )
 
-// benchLab memoizes one Lab per seed across benchmark iterations of a
-// single `go test` process — experiments share workload and market
-// artifacts exactly as cmd/zccexp does.
-var benchLabs = map[int64]*Lab{}
-
-func labFor(seed int64) *Lab {
-	l, ok := benchLabs[seed]
-	if !ok {
-		l = NewLab(QuickOptions(seed))
-		benchLabs[seed] = l
-	}
-	return l
-}
-
-// benchExperiment runs one registered experiment per iteration.
+// benchExperiment times one registered experiment per iteration, each
+// on a fresh Lab: a Lab reuses the result of every simulation it has
+// already run, so on a warm Lab the timer would see only those reuses.
+// The base workload, and the market pass where the experiment reads the
+// market, are built outside the timer; scaled traces are built inside.
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
-	lab := labFor(42)
-	// Warm the shared artifacts outside the timed region.
-	if _, err := RunExperiment(id, lab); err != nil {
+	// An untimed first run learns whether the experiment reads the market.
+	probe := NewLab(QuickOptions(42))
+	spans := NewSpanTimings()
+	probe.SetObs(ObsOptions{Timings: spans})
+	if _, err := RunExperiment(id, probe); err != nil {
 		b.Fatal(err)
+	}
+	market := false
+	for _, s := range spans.Snapshot() {
+		market = market || s.Name == "lab.market_analysis"
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		lab := NewLab(QuickOptions(42))
+		if _, err := lab.BaseTrace(); err != nil {
+			b.Fatal(err)
+		}
+		if market {
+			if _, err := lab.MISOSummary(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
 		if _, err := RunExperiment(id, lab); err != nil {
 			b.Fatal(err)
 		}
@@ -70,6 +77,36 @@ func BenchmarkBurstinessAblation(b *testing.B)    { benchExperiment(b, "burstine
 func BenchmarkEconomics(b *testing.B)             { benchExperiment(b, "economics") }
 func BenchmarkCheckpoint(b *testing.B)            { benchExperiment(b, "checkpoint") }
 func BenchmarkCAISO(b *testing.B)                 { benchExperiment(b, "caiso") }
+
+// BenchmarkSectionIVSweep times the Section IV grid (Figures 5, 6 and 8
+// plus the kill/requeue ablation) on one fresh 7-day, full-Mira Lab per
+// iteration, the experiment-cell layer of the periodic-sweep workload.
+// The experiments share one Lab, so it reports the simulations run and
+// the runs reused from an earlier experiment per iteration.
+func BenchmarkSectionIVSweep(b *testing.B) {
+	ids := []string{"fig5", "fig6", "fig8", "killrequeue"}
+	reg := NewMetricsRegistry()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		lab := NewLab(ExperimentOptions{Seed: 42, WorkloadDays: 7, MarketDays: 7, WindSites: 20})
+		lab.SetObs(ObsOptions{Metrics: reg})
+		if _, err := lab.BaseTrace(); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := lab.MISOSummary(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for _, id := range ids {
+			if _, err := RunExperiment(id, lab); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	snap := reg.Snapshot()
+	b.ReportMetric(float64(snap.Counter("run.simulations"))/float64(b.N), "sims/op")
+	b.ReportMetric(float64(snap.Counter("run.reused"))/float64(b.N), "reused/op")
+}
 
 // --- micro-benchmarks of the pipeline stages ---
 
@@ -213,7 +250,7 @@ func BenchmarkScaleWorkload(b *testing.B) {
 // BenchmarkEndToEndEventsPerSec is the perf-baseline anchor: a complete
 // month-long Mira + 1xZCCloud simulation, reported as dispatched engine
 // events per wall-clock second (the simulator's natural throughput
-// unit). cmd/zccbench records it in BENCH_PR20.json so regressions show
+// unit). cmd/zccbench records it in BENCH_PR23.json so regressions show
 // up as a ratio against a committed baseline.
 func BenchmarkEndToEndEventsPerSec(b *testing.B) {
 	tr, err := GenerateWorkload(WorkloadConfig{Seed: 1, Days: 28})
@@ -239,17 +276,18 @@ func BenchmarkEndToEndEventsPerSec(b *testing.B) {
 	}
 }
 
-// Example-style smoke test making sure the benches' shared lab matches
-// the command-line path.
+// Example-style smoke test making sure the benches' Lab matches the
+// command-line path.
 func TestBenchLabSmoke(t *testing.T) {
-	tb, err := RunExperiment("table1", labFor(42))
+	lab := NewLab(QuickOptions(42))
+	tb, err := RunExperiment("table1", lab)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tb.Rows) == 0 {
 		t.Fatal("table1 empty")
 	}
-	if _, err := RunExperiment("bogus", labFor(42)); err == nil {
+	if _, err := RunExperiment("bogus", lab); err == nil {
 		t.Fatal("unknown experiment should error")
 	}
 	fmt.Println(tb.Text())

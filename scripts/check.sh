@@ -161,6 +161,21 @@ if "$tmpdir/zccexp" $expflags -seed 6 -resume "$tmpdir/sweep" >/dev/null 2>&1; t
 	exit 1
 fi
 
+echo "== warm-Lab tables equal cold-Lab tables"
+# One process runs the whole quick registry on one Lab, which reuses the
+# result of every simulation an earlier experiment already ran; each
+# experiment run alone in a fresh process must render the same table.
+"$tmpdir/zccexp" -quick >"$tmpdir/warm.txt"
+sed '/Telemetry summary/,$d' "$tmpdir/warm.txt" >"$tmpdir/warm.tables"
+for id in $("$tmpdir/zccexp" -list | awk '{print $1}'); do
+	"$tmpdir/zccexp" -quick -ids "$id" | sed '/Telemetry summary/,$d'
+done >"$tmpdir/cold.tables"
+if ! cmp -s "$tmpdir/warm.tables" "$tmpdir/cold.tables"; then
+	echo "tables of a shared Lab differ from each experiment run on a fresh Lab" >&2
+	diff "$tmpdir/cold.tables" "$tmpdir/warm.tables" >&2 || true
+	exit 1
+fi
+
 echo "== live introspection endpoint smoke test"
 # Start a run with -http on an ephemeral port (lingering after the run
 # so the scrape can't race a fast finish), scrape /metrics and /status,
