@@ -292,9 +292,28 @@ func (l *Lab) runAll(specs []runSpec) ([]runResult, error) {
 			}
 			masterKey = tk
 		}
-		res, err := l.simulate(master.Clone(), s)
+		tr := master.Clone()
+		m, err := core.Run(core.RunConfig{Trace: tr, System: s.sys, Obs: l.obs})
 		if err != nil {
 			return nil, err
+		}
+		res := runResult{Metrics: m}
+		for _, j := range tr.Jobs {
+			if j.Requeues > 0 {
+				res.requeued++
+			}
+			if !j.Completed {
+				continue
+			}
+			res.usefulNH += j.NodeHours()
+			if s.classify == nil {
+				continue
+			}
+			if w, ok := s.classify.WindowAt(j.Submit); ok && j.Submit+j.Runtime <= w.End {
+				res.onTime.add(j.Wait().Hours())
+			} else {
+				res.late.add(j.Wait().Hours())
+			}
 		}
 		if memo {
 			l.runs[key] = res
@@ -302,34 +321,6 @@ func (l *Lab) runAll(specs []runSpec) ([]runResult, error) {
 		out[i] = res
 	}
 	return out, nil
-}
-
-// simulate runs s on tr, a clone the run may consume, and reduces tr to
-// the tallies tables read.
-func (l *Lab) simulate(tr *job.Trace, s runSpec) (runResult, error) {
-	m, err := core.Run(core.RunConfig{Trace: tr, System: s.sys, Obs: l.obs})
-	if err != nil {
-		return runResult{}, err
-	}
-	res := runResult{Metrics: m}
-	for _, j := range tr.Jobs {
-		if j.Requeues > 0 {
-			res.requeued++
-		}
-		if !j.Completed {
-			continue
-		}
-		res.usefulNH += j.NodeHours()
-		if s.classify == nil {
-			continue
-		}
-		if w, ok := s.classify.WindowAt(j.Submit); ok && j.Submit+j.Runtime <= w.End {
-			res.onTime.add(j.Wait().Hours())
-		} else {
-			res.late.add(j.Wait().Hours())
-		}
-	}
-	return res, nil
 }
 
 // deliveredNH is the node-hours the run delivered over all partitions.

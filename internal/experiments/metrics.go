@@ -19,8 +19,9 @@ func MetricsSummary(snap obs.Snapshot) *Table {
 	}
 	row := func(label string, v any) { t.AddRow(label, v) }
 	row("Simulations run", snap.Counter("run.simulations"))
-	if n, ok := snap.Counters["run.reused"]; ok {
-		row("Simulations reused", n)
+	reused, memo := snap.Counters["run.reused"]
+	if memo {
+		row("Simulations reused", reused)
 	}
 	row("Scheduler passes", snap.Counter("sched.passes"))
 	row("Jobs started", snap.Counter("sched.jobs_started"))
@@ -40,7 +41,7 @@ func MetricsSummary(snap obs.Snapshot) *Table {
 		t.AddNote("%d jobs unfinished at a deadline across all simulations", n)
 	}
 	t.AddNote("full snapshot available via -metrics; counters accumulate across all simulations of the run")
-	if _, ok := snap.Counters["run.reused"]; ok {
+	if memo {
 		t.AddNote("a reused simulation repeats one the run already did and is not simulated again: " +
 			"the other counters, the wait histogram and -trace cover each distinct simulation once")
 	}
