@@ -43,6 +43,7 @@ import (
 	"syscall"
 	"time"
 
+	"zccloud/cmd/internal/harness"
 	"zccloud/internal/experiments"
 	"zccloud/internal/fleet"
 	"zccloud/internal/obs"
@@ -129,17 +130,12 @@ func run(args []string, stderr io.Writer, ready chan<- string, stop <-chan struc
 		return fmt.Errorf("-parallel must be at least 1 (got %d)", *parallel)
 	}
 
-	var logger *obs.Logger
-	if !*quiet {
-		lv, err := obs.ParseLevel(*logLevel)
-		if err != nil {
-			return err
-		}
-		format, err := obs.ParseLogFormat(*logFormat)
-		if err != nil {
-			return err
-		}
-		logger = obs.NewLogger(stderr, lv, format)
+	if *quiet {
+		*logLevel = ""
+	}
+	logger, err := harness.Logger(stderr, *logLevel, *logFormat)
+	if err != nil {
+		return err
 	}
 
 	a := &agent{
@@ -186,7 +182,7 @@ func run(args []string, stderr io.Writer, ready chan<- string, stop <-chan struc
 	hbStop := make(chan struct{})
 	go a.heartbeatLoop(hbStop, hbDone)
 
-	err := a.claimLoop(*poll)
+	err = a.claimLoop(*poll)
 
 	close(hbStop)
 	<-hbDone

@@ -35,6 +35,7 @@ import (
 	"strconv"
 	"strings"
 
+	"zccloud/cmd/internal/harness"
 	"zccloud/internal/admit"
 	"zccloud/internal/fleet"
 	"zccloud/internal/forecast"
@@ -98,17 +99,12 @@ func run(args []string, stderr io.Writer, ready chan<- string, stop <-chan struc
 		return nil
 	}
 
-	var logger *obs.Logger
-	if !*quiet {
-		lv, err := obs.ParseLevel(*logLevel)
-		if err != nil {
-			return err
-		}
-		format, err := obs.ParseLogFormat(*logFormat)
-		if err != nil {
-			return err
-		}
-		logger = obs.NewLogger(stderr, lv, format)
+	if *quiet {
+		*logLevel = ""
+	}
+	logger, err := harness.Logger(stderr, *logLevel, *logFormat)
+	if err != nil {
+		return err
 	}
 
 	powerCfg, err := buildPowerConfig(powerFlags{

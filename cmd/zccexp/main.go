@@ -12,29 +12,27 @@
 //	zccexp -quick -run-dir run/        # journaled, crash-safe sweep
 //	zccexp -quick -resume run/         # ...picks up where it stopped
 //
-// With -run-dir, every experiment ("cell") runs under a panic guard and
-// optional watchdog (-cell-timeout), and its outcome is journaled to the
-// run directory as soon as it settles. SIGINT/SIGTERM stops the sweep at
-// a safe point, flushes the completed tables, and exits nonzero with a
-// resume hint; -resume skips completed cells and re-runs only failures.
+// Every experiment ("cell") runs under a panic guard and optional
+// watchdog (-cell-timeout); its table is rendered as soon as it settles,
+// and a failed cell is reported at the end without stopping the others.
+// With -run-dir, each outcome is also journaled to the run directory.
+// SIGINT/SIGTERM stops the sweep at a safe point, flushes the completed
+// tables, and exits nonzero; -resume skips the cells a journaled sweep
+// completed and re-runs only failures.
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"zccloud"
+	"zccloud/cmd/internal/harness"
 )
 
 func main() {
@@ -54,7 +52,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		markdown = fs.Bool("markdown", false, "render markdown instead of text")
 		out      = fs.String("o", "-", "output file (\"-\" for stdout)")
 		list     = fs.Bool("list", false, "list experiment ids and exit")
-		version  = fs.Bool("version", false, "print build information and exit")
 
 		days       = fs.Float64("days", 0, "override workload span in days (0 = preset)")
 		marketDays = fs.Float64("market-days", 0, "override market dataset span in days (0 = preset)")
@@ -68,26 +65,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 		runDir      = fs.String("run-dir", "", "journal each cell to this directory (crash-safe, resumable sweep)")
 		resumeDir   = fs.String("resume", "", "resume the sweep in this run directory (skips completed cells)")
-		check       = fs.Bool("check", false, "validate scheduler invariants after every event")
 		cellTimeout = fs.Duration("cell-timeout", 0, "per-experiment watchdog budget, e.g. 10m (0 = none)")
 		stopAfter   = fs.Int("interrupt-after", 0, "stop the sweep after N executed cells (deterministic interruption, for testing)")
-
-		traceOut   = fs.String("trace", "", "write a simulation event trace to this file (.zct = binary columnar, .gz = gzipped JSONL, else JSONL)")
-		httpAddr   = fs.String("http", "", "serve live /status, /metrics, and /debug/pprof on this address (e.g. 127.0.0.1:8080)")
-		spans      = fs.Bool("spans", false, "time run phases (wall clock) and render a span summary")
-		metricsOut = fs.String("metrics", "", "write a JSON metrics snapshot to this file")
-		logLevel   = fs.String("log-level", "", "emit structured logs to stderr at this threshold: debug, info, warn, or error (empty = no logs)")
-		logFormat  = fs.String("log-format", "logfmt", "structured log encoding: logfmt or json")
-		runID      = fs.String("run-id", "", "correlation ID bound to every log line and stamped on every trace event")
-		progress   = fs.Bool("progress", false, "report experiment progress and rate to stderr")
-		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = fs.String("memprofile", "", "write a heap profile to this file on exit")
 	)
+	tf := harness.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	if *version {
+	if tf.Version {
 		fmt.Fprintln(stdout, "zccexp", zccloud.BuildInfo())
 		return nil
 	}
@@ -107,35 +93,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *stopAfter > 0 && dir == "" {
 		return fmt.Errorf("-interrupt-after needs a journaled sweep (-run-dir)")
 	}
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			return fmt.Errorf("creating CPU profile: %w", err)
+	selected := zccloud.Experiments
+	if *ids != "" {
+		selected = nil
+		for _, id := range strings.Split(*ids, ",") {
+			e, err := zccloud.ExperimentByID(strings.TrimSpace(id))
+			if err != nil {
+				return fmt.Errorf("unknown experiment id %q (use -list)", strings.TrimSpace(id))
+			}
+			selected = append(selected, e)
 		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
 	}
-
-	// SIGINT/SIGTERM stop the run cooperatively at the next safe point:
-	// between cells, or mid-simulation at an event boundary.
-	var sig atomic.Bool
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigc)
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		select {
-		case <-sigc:
-			sig.Store(true)
-			fmt.Fprintln(stderr, "zccexp: interrupt received; stopping at the next safe point")
-		case <-done:
-		}
-	}()
 
 	opt := zccloud.ExperimentOptions{Seed: *seed}
 	if *quick {
@@ -166,81 +134,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 		opt.RetryLimit = *retryLimit
 	}
 
-	// Telemetry: a registry always backs the summary table; the tracer
-	// and progress reporter are opt-in.
-	obsOpt := zccloud.ObsOptions{Metrics: zccloud.NewMetricsRegistry(), Check: *check, RunID: *runID}
-	if *logLevel != "" {
-		lv, err := zccloud.ParseLogLevel(*logLevel)
-		if err != nil {
-			return err
-		}
-		format, err := zccloud.ParseLogFormat(*logFormat)
-		if err != nil {
-			return err
-		}
-		obsOpt.Log = zccloud.NewLogger(stderr, lv, format)
+	// SIGINT/SIGTERM stop the run cooperatively at the next safe point:
+	// between cells, or mid-simulation at an event boundary.
+	h, err := harness.Start("zccexp", tf, stderr)
+	if err != nil {
+		return err
 	}
-	if *spans || *httpAddr != "" {
-		obsOpt.Timings = zccloud.NewSpanTimings()
-	}
-	if *httpAddr != "" {
-		obsOpt.Status = zccloud.NewRunStatus()
-		obsOpt.Status.SetPhase("setup")
-		ts := zccloud.NewTimeSeries(time.Second, 600,
-			zccloud.SampleStatus(obsOpt.Status, obsOpt.Metrics))
-		ts.Start()
-		defer ts.Stop()
-		intro, err := zccloud.StartIntrospection(*httpAddr, obsOpt.Metrics, obsOpt.Status, obsOpt.Timings, ts)
-		if err != nil {
-			return fmt.Errorf("starting introspection server: %w", err)
-		}
-		// Graceful shutdown: let in-flight scrapes finish (bounded),
-		// then close.
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			if err := intro.Shutdown(ctx); err != nil {
-				fmt.Fprintf(stderr, "zccexp: introspection shutdown: %v\n", err)
-			}
-		}()
-		fmt.Fprintf(stderr, "zccexp: introspection server on http://%s\n", intro.Addr())
-	}
-	var traceFile *zccloud.TraceSink
-	if *traceOut != "" {
-		tf, err := zccloud.CreateTraceSink(*traceOut)
-		if err != nil {
-			return fmt.Errorf("creating trace output: %w", err)
-		}
-		defer tf.Abort() // no-op once committed
-		traceFile = tf
-		obsOpt.Tracer = tf
-	}
-	commitTrace := func() error {
-		if traceFile == nil {
-			return nil
-		}
-		t := traceFile
-		traceFile = nil
-		if err := t.Commit(); err != nil {
-			return fmt.Errorf("writing trace: %v", err)
-		}
-		return nil
-	}
-	if *progress {
-		obsOpt.Progress = zccloud.NewProgressReporter(stderr, 5*time.Second)
-	}
-
-	selected := zccloud.Experiments
-	if *ids != "" {
-		selected = nil
-		for _, id := range strings.Split(*ids, ",") {
-			e, err := experimentByID(strings.TrimSpace(id))
-			if err != nil {
-				return err
-			}
-			selected = append(selected, e)
-		}
-	}
+	defer h.Close()
 
 	w := io.Writer(stdout)
 	var outFile *zccloud.AtomicFile
@@ -252,14 +152,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		defer af.Abort() // no-op once committed
 		w = af
 		outFile = af
-	}
-	commitOut := func() error {
-		if outFile == nil {
-			return nil
-		}
-		o := outFile
-		outFile = nil
-		return o.Commit()
 	}
 
 	if *markdown {
@@ -275,143 +167,71 @@ func run(args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintln(w, tb.Text())
 		}
 	}
-	// finish renders the telemetry summary and lands every output file
-	// atomically; called on complete and interrupted runs alike, so an
-	// interrupted sweep still flushes its completed tables.
-	finish := func() error {
-		obsOpt.Status.SetPhase("done")
-		render(zccloud.MetricsSummaryTable(obsOpt.Metrics.Snapshot()))
-		if *spans {
-			render(zccloud.SpanSummaryTable(obsOpt.Timings.Snapshot()))
-		}
-		if err := commitTrace(); err != nil {
-			return err
-		}
-		if *metricsOut != "" {
-			f, err := zccloud.CreateAtomic(*metricsOut)
-			if err != nil {
-				return fmt.Errorf("creating metrics output: %w", err)
-			}
-			if err := obsOpt.Metrics.Snapshot().WriteJSON(f); err != nil {
-				f.Abort()
-				return err
-			}
-			if err := f.Commit(); err != nil {
-				return err
-			}
-		}
-		if *memprofile != "" {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				return fmt.Errorf("creating heap profile: %w", err)
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				return err
-			}
-		}
-		return commitOut()
-	}
-
-	if dir != "" {
-		return runSweep(dir, doResume, opt, obsOpt, selected, *cellTimeout, *stopAfter,
-			&sig, render, finish, stderr)
-	}
-
-	// Direct mode: run cells in-process with no journal. The live status
-	// board (when -http is set) still tracks per-experiment state.
-	obsOpt.Interrupt = sig.Load
-	lab := zccloud.NewLab(opt)
-	lab.SetObs(obsOpt)
-	expIDs := make([]string, len(selected))
-	for i, e := range selected {
-		expIDs[i] = e.ID
-	}
-	obsOpt.Status.InitSweep("", expIDs)
-	obsOpt.Progress.StartSteps(len(selected))
-	for _, e := range selected {
-		start := time.Now()
-		obsOpt.Progress.Phase(e.ID)
-		obsOpt.Status.SetPhase(e.ID)
-		obsOpt.Status.SetCell(e.ID, "running", false, 0)
-		tb, err := e.Run(lab)
-		elapsed := time.Since(start)
-		if err != nil {
-			if errors.Is(err, zccloud.ErrRunInterrupted) {
-				obsOpt.Status.SetCell(e.ID, "interrupted", false, elapsed)
-				if ferr := finish(); ferr != nil {
-					return ferr
-				}
-				return fmt.Errorf("interrupted during %s; completed tables flushed (use -run-dir for resumable sweeps)", e.ID)
-			}
-			obsOpt.Status.SetCell(e.ID, "error", false, elapsed)
-			return fmt.Errorf("%s: %v", e.ID, err)
-		}
-		obsOpt.Status.SetCell(e.ID, "ok", false, elapsed)
-		obsOpt.Progress.StepDone(e.ID, elapsed, false)
-		render(tb)
-		fmt.Fprintf(stderr, "%-12s done in %v\n", e.ID, elapsed.Round(time.Millisecond))
-	}
-	return finish()
-}
-
-// runSweep drives the journaled, resumable sweep mode.
-func runSweep(dir string, doResume bool, opt zccloud.ExperimentOptions,
-	obsOpt zccloud.ObsOptions, selected []zccloud.Experiment,
-	cellTimeout time.Duration, stopAfter int, sig *atomic.Bool,
-	render func(*zccloud.ResultTable), finish func() error, stderr io.Writer) error {
 
 	var executed atomic.Int64
 	res, err := zccloud.RunSweep(zccloud.SweepConfig{
 		Dir:         dir,
 		Options:     opt,
-		Obs:         obsOpt,
+		Obs:         h.Obs,
 		Experiments: selected,
 		Resume:      doResume,
-		CellTimeout: cellTimeout,
+		CellTimeout: *cellTimeout,
 		Interrupt: func() bool {
-			return sig.Load() || (stopAfter > 0 && executed.Load() >= int64(stopAfter))
+			return h.Interrupted() || (*stopAfter > 0 && executed.Load() >= int64(*stopAfter))
 		},
 		OnCell: func(rec zccloud.SweepCellRecord, skipped bool) {
-			if skipped {
+			switch {
+			case skipped:
 				fmt.Fprintf(stderr, "%-12s skipped (completed in a previous run)\n", rec.ID)
-				return
+			case rec.Status == zccloud.SweepCellOK:
+				fmt.Fprintf(stderr, "%-12s ok in %v\n", rec.ID, cellElapsed(rec))
+			default:
+				fmt.Fprintf(stderr, "%-12s %s in %v: %s\n", rec.ID, rec.Status, cellElapsed(rec), rec.Error)
+				if dir == "" {
+					// No journal keeps the stack: show it here.
+					fmt.Fprint(stderr, rec.Stack)
+				}
 			}
-			executed.Add(1)
-			fmt.Fprintf(stderr, "%-12s %s in %v\n", rec.ID, rec.Status,
-				(time.Duration(rec.ElapsedMS) * time.Millisecond).Round(time.Millisecond))
+			if !skipped {
+				executed.Add(1)
+			}
+			if rec.Status == zccloud.SweepCellOK {
+				render(rec.Table)
+			}
 		},
 	})
 	interrupted := errors.Is(err, zccloud.ErrSweepInterrupted)
 	if err != nil && !interrupted {
 		return err
 	}
-	for _, tb := range res.Tables {
-		render(tb)
+	// An interrupted sweep still flushes its completed tables.
+	if err := h.Finish(render); err != nil {
+		return err
 	}
-	if ferr := finish(); ferr != nil {
-		return ferr
+	if outFile != nil {
+		if err := outFile.Commit(); err != nil {
+			return err
+		}
 	}
 	if interrupted {
 		fmt.Fprintf(stderr, "zccexp: sweep interrupted; %d completed table(s) flushed\n", len(res.Tables))
-		fmt.Fprintf(stderr, "zccexp: resume with the same flags plus -resume %s\n", dir)
+		if dir != "" {
+			fmt.Fprintf(stderr, "zccexp: resume with the same flags plus -resume %s\n", dir)
+		}
 		return fmt.Errorf("interrupted")
 	}
 	if len(res.Failed) > 0 {
-		return fmt.Errorf("%d cell(s) failed (%s); inspect %s/cells.jsonl and re-run with -resume %s",
-			len(res.Failed), strings.Join(res.Failed, ", "), dir, dir)
+		msg := fmt.Sprintf("%d cell(s) failed (%s)", len(res.Failed), strings.Join(res.Failed, ", "))
+		if dir != "" {
+			msg += fmt.Sprintf("; inspect %s/cells.jsonl and re-run with -resume %s", dir, dir)
+		}
+		return errors.New(msg)
 	}
 	return nil
 }
 
-func experimentByID(id string) (zccloud.Experiment, error) {
-	for _, e := range zccloud.Experiments {
-		if e.ID == id {
-			return e, nil
-		}
-	}
-	return zccloud.Experiment{}, fmt.Errorf("unknown experiment id %q (use -list)", id)
+func cellElapsed(rec zccloud.SweepCellRecord) time.Duration {
+	return (time.Duration(rec.ElapsedMS) * time.Millisecond).Round(time.Millisecond)
 }
 
 func presetName(quick bool) string {

@@ -19,21 +19,15 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
-	"runtime"
-	"runtime/pprof"
 	"sort"
-	"sync/atomic"
-	"syscall"
-	"time"
 
 	"zccloud"
+	"zccloud/cmd/internal/harness"
 )
 
 func main() {
@@ -68,29 +62,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 		backoff     = fs.Float64("backoff", 0, "base retry backoff in hours after a kill; doubles per retry (0 = requeue immediately)")
 		backoffJit  = fs.Bool("backoff-jitter", false, "full-jitter retry backoff: delay is a seeded uniform draw from (0, base*2^k]")
 
-		check   = fs.Bool("check", false, "validate scheduler invariants after every event")
-		snapOut = fs.String("snapshot", "", "write a resume snapshot to this file when the run pauses")
-		snapAt  = fs.Float64("snapshot-at", 0, "deterministically pause at this simulated day (requires -snapshot)")
-		restore = fs.String("restore", "", "resume from a snapshot file (pass the original run's flags)")
-
-		traceOut   = fs.String("trace", "", "write a simulation event trace to this file (.zct = binary columnar, .gz = gzipped JSONL, else JSONL)")
-		httpAddr   = fs.String("http", "", "serve live /status, /metrics, and /debug/pprof on this address (e.g. 127.0.0.1:8080)")
+		snapOut    = fs.String("snapshot", "", "write a resume snapshot to this file when the run pauses")
+		snapAt     = fs.Float64("snapshot-at", 0, "deterministically pause at this simulated day (requires -snapshot)")
+		restore    = fs.String("restore", "", "resume from a snapshot file (pass the original run's flags)")
 		httpLinger = fs.Duration("http-linger", 0, "keep the -http server up this long after the run completes (Ctrl-C ends it early)")
-		spans      = fs.Bool("spans", false, "time run phases (wall clock) and print a span summary")
-		metricsOut = fs.String("metrics", "", "write a JSON metrics snapshot to this file")
-		logLevel   = fs.String("log-level", "", "emit structured logs to stderr at this threshold: debug, info, warn, or error (empty = no logs)")
-		logFormat  = fs.String("log-format", "logfmt", "structured log encoding: logfmt or json")
-		runID      = fs.String("run-id", "", "correlation ID bound to every log line and stamped on every trace event")
-		progress   = fs.Bool("progress", false, "report simulation progress and rate to stderr")
-		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = fs.String("memprofile", "", "write a heap profile to this file on exit")
-		version    = fs.Bool("version", false, "print build information and exit")
 	)
+	tf := harness.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	if *version {
+	if tf.Version {
 		fmt.Fprintln(stdout, "zccsim", zccloud.BuildInfo())
 		return nil
 	}
@@ -98,35 +80,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("-snapshot-at needs -snapshot to name the snapshot file")
 	}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			return fmt.Errorf("creating CPU profile: %w", err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
-	}
-
-	// SIGINT/SIGTERM pause the simulation cooperatively: the flag is
+	// SIGINT/SIGTERM pause the simulation cooperatively: the latch is
 	// polled between events, so the run always stops in a snapshottable
 	// state.
-	var interrupted atomic.Bool
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigc)
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		select {
-		case <-sigc:
-			interrupted.Store(true)
-			fmt.Fprintln(stderr, "zccsim: interrupt received; pausing at the next event boundary")
-		case <-done:
-		}
-	}()
+	h, err := harness.Start("zccsim", tf, stderr)
+	if err != nil {
+		return err
+	}
+	defer h.Close()
+	h.Obs.Progress.Phase("sim")
 
 	var zc zccloud.AvailabilityModel
 	if *zcFactor > 0 {
@@ -183,7 +145,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			horizon := zccloud.Time(*days) * zccloud.Day
 			wcfg.UptimeWindows = materialize(zc, horizon)
 		}
-		var err error
 		tr, err = zccloud.GenerateWorkload(wcfg)
 		if err != nil {
 			return fmt.Errorf("generating workload: %v", err)
@@ -192,78 +153,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	st := zccloud.SummarizeWorkload(tr, *nodes)
 	fmt.Fprintf(stdout, "workload: %d jobs over %.0f days, %.0f M node-hours (%.1f%% of Mira)\n",
 		st.Jobs, st.Days, st.NodeHours/1e6, 100*st.Utilization)
-
-	obsOpt := zccloud.ObsOptions{
-		Metrics:   zccloud.NewMetricsRegistry(),
-		Interrupt: interrupted.Load,
-		Check:     *check,
-		RunID:     *runID,
-	}
-	if *logLevel != "" {
-		lv, err := zccloud.ParseLogLevel(*logLevel)
-		if err != nil {
-			return err
-		}
-		format, err := zccloud.ParseLogFormat(*logFormat)
-		if err != nil {
-			return err
-		}
-		obsOpt.Log = zccloud.NewLogger(stderr, lv, format)
-	}
-	if *spans || *httpAddr != "" {
-		obsOpt.Timings = zccloud.NewSpanTimings()
-	}
-	var intro *zccloud.Introspection
-	if *httpAddr != "" {
-		obsOpt.Status = zccloud.NewRunStatus()
-		obsOpt.Status.SetPhase("setup")
-		ts := zccloud.NewTimeSeries(time.Second, 600,
-			zccloud.SampleStatus(obsOpt.Status, obsOpt.Metrics))
-		ts.Start()
-		defer ts.Stop()
-		in, err := zccloud.StartIntrospection(*httpAddr, obsOpt.Metrics, obsOpt.Status, obsOpt.Timings, ts)
-		if err != nil {
-			return fmt.Errorf("starting introspection server: %w", err)
-		}
-		intro = in
-		// Graceful shutdown: let in-flight scrapes finish (bounded),
-		// then close. Ctrl-C during -http-linger lands here too.
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			if err := intro.Shutdown(ctx); err != nil {
-				fmt.Fprintf(stderr, "zccsim: introspection shutdown: %v\n", err)
-			}
-		}()
-		fmt.Fprintf(stderr, "zccsim: introspection server on http://%s\n", intro.Addr())
-	}
-	var traceFile *zccloud.TraceSink
-	if *traceOut != "" {
-		tf, err := zccloud.CreateTraceSink(*traceOut)
-		if err != nil {
-			return fmt.Errorf("creating trace output: %w", err)
-		}
-		defer tf.Abort() // no-op once committed
-		traceFile = tf
-		obsOpt.Tracer = tf
-	}
-	// commitTrace lands the event trace atomically; called on success and
-	// on a deliberate pause, so a partial trace is still a usable prefix.
-	commitTrace := func() error {
-		if traceFile == nil {
-			return nil
-		}
-		t := traceFile
-		traceFile = nil
-		if err := t.Commit(); err != nil {
-			return fmt.Errorf("writing trace: %v", err)
-		}
-		return nil
-	}
-	if *progress {
-		obsOpt.Progress = zccloud.NewProgressReporter(stderr, 5*time.Second)
-		obsOpt.Progress.Phase("sim")
-	}
 
 	// Fault injection: any fault flag arms the injector. Failures target
 	// the ZC partition when one exists, the base system otherwise.
@@ -304,12 +193,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 			NonOracle: *killMode,
 			Faults:    fc,
 		},
-		Obs:    obsOpt,
+		Obs:    h.Obs,
 		StopAt: zccloud.Time(*snapAt) * zccloud.Day,
 	}
 
 	var m *zccloud.Metrics
-	var err error
 	if *restore != "" {
 		snap, lerr := zccloud.LoadSnapshot(*restore)
 		if lerr != nil {
@@ -332,12 +220,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if serr := zccloud.SaveSnapshot(*snapOut, intr.Snapshot); serr != nil {
 			return serr
 		}
-		if terr := commitTrace(); terr != nil {
+		if terr := h.CommitTrace(); terr != nil {
 			return terr
 		}
 		fmt.Fprintf(stderr, "zccsim: run paused; snapshot written to %s\n", *snapOut)
 		fmt.Fprintf(stderr, "zccsim: resume with the same flags plus -restore %s\n", *snapOut)
-		if *snapAt > 0 && !interrupted.Load() {
+		if *snapAt > 0 && !h.Interrupted() {
 			return nil // a deliberate -snapshot-at pause is a success
 		}
 		return fmt.Errorf("interrupted")
@@ -379,50 +267,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "  %12s nodes: %6d jobs, %8.2f h\n", b.Label, b.Jobs, b.AvgWaitHrs)
 	}
 
-	obsOpt.Status.SetPhase("done")
-	snap := obsOpt.Metrics.Snapshot()
 	fmt.Fprintln(stdout)
-	fmt.Fprintln(stdout, zccloud.MetricsSummaryTable(snap).Text())
-	if *spans {
-		fmt.Fprintln(stdout, zccloud.SpanSummaryTable(obsOpt.Timings.Snapshot()).Text())
-	}
-
-	if err := commitTrace(); err != nil {
+	if err := h.Finish(func(tb *zccloud.ResultTable) { fmt.Fprintln(stdout, tb.Text()) }); err != nil {
 		return err
 	}
-	if *metricsOut != "" {
-		f, err := zccloud.CreateAtomic(*metricsOut)
-		if err != nil {
-			return fmt.Errorf("creating metrics output: %w", err)
-		}
-		if err := snap.WriteJSON(f); err != nil {
-			f.Abort()
-			return err
-		}
-		if err := f.Commit(); err != nil {
-			return err
-		}
-	}
-	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			return fmt.Errorf("creating heap profile: %w", err)
-		}
-		defer f.Close()
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			return err
-		}
-	}
-	// Hold the introspection server open so a scraper (or a human with a
-	// browser) can still read the finished run's /status and /metrics.
-	if intro != nil && *httpLinger > 0 {
-		fmt.Fprintf(stderr, "zccsim: run complete; serving introspection for up to %s more (Ctrl-C to stop)\n", *httpLinger)
-		deadline := time.Now().Add(*httpLinger)
-		for time.Now().Before(deadline) && !interrupted.Load() {
-			time.Sleep(50 * time.Millisecond)
-		}
-	}
+	h.Linger(*httpLinger)
 	return nil
 }
 

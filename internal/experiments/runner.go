@@ -76,6 +76,8 @@ const manifestKind = "zccloud-sweep"
 // SweepConfig configures a resumable experiment sweep.
 type SweepConfig struct {
 	// Dir is the run directory: manifest.json plus cells.jsonl live here.
+	// An empty Dir runs the sweep unjournaled: nothing is written, and
+	// the cells run exactly as they would into a directory.
 	Dir string
 	// Options parameterize the Lab shared by every cell.
 	Options Options
@@ -240,18 +242,15 @@ func OpenSweep(dir string, opt Options, exps []Experiment, resume bool) (*Sweep,
 }
 
 // RunSweep runs the configured experiments, journaling one record per
-// cell to Dir. Each cell runs under a panic guard and, when CellTimeout
-// is set, a watchdog; a failing cell is recorded and the sweep moves on.
-// With Resume set, cells whose latest journal record is CellOK are
-// skipped and only missing or failed cells run.
+// cell to Dir unless Dir is empty. Each cell runs under a panic guard
+// and, when CellTimeout is set, a watchdog; a failing cell is recorded
+// and the sweep moves on. With Resume set, cells whose latest journal
+// record is CellOK are skipped and only missing or failed cells run.
 //
 // RunSweep returns an error only when the sweep infrastructure fails
 // (unusable run directory, manifest mismatch, wedged cell, interrupt);
 // per-cell failures are reported through SweepResult.Failed.
 func RunSweep(cfg SweepConfig) (*SweepResult, error) {
-	if cfg.Dir == "" {
-		return nil, errors.New("experiments: sweep needs a run directory")
-	}
 	exps := cfg.Experiments
 	if exps == nil {
 		exps = All
@@ -259,12 +258,18 @@ func RunSweep(cfg SweepConfig) (*SweepResult, error) {
 	if cfg.Grace <= 0 {
 		cfg.Grace = 30 * time.Second
 	}
-	sw, err := OpenSweep(cfg.Dir, cfg.Options, exps, cfg.Resume)
-	if err != nil {
-		return nil, err
+	var sw *Sweep
+	fp, prior := "", map[string]CellRecord{}
+	if cfg.Dir != "" {
+		var err error
+		if sw, err = OpenSweep(cfg.Dir, cfg.Options, exps, cfg.Resume); err != nil {
+			return nil, err
+		}
+		defer sw.Close()
+		fp, prior = sw.Fingerprint(), sw.Prior()
+	} else if cfg.Resume {
+		return nil, errors.New("experiments: resume needs a run directory")
 	}
-	defer sw.Close()
-	fp, prior := sw.Fingerprint(), sw.Prior()
 
 	r := &sweepRunner{cfg: cfg}
 	lab := NewLab(cfg.Options)
@@ -303,13 +308,16 @@ func RunSweep(cfg SweepConfig) (*SweepResult, error) {
 		}
 		cfg.Obs.Status.SetCell(e.ID, "running", false, 0)
 		cfg.Obs.Status.SetPhase(e.ID)
+		cfg.Obs.Progress.Phase(e.ID)
 		rec, fatal := r.runCell(lab, e)
 		if fatal == nil || errors.Is(fatal, errCellWedged) {
 			// A wedged cell is journaled before the sweep aborts, so a
 			// resume re-runs it.
 			res.Records[rec.ID] = rec
-			if err := sw.Append(rec); err != nil {
-				return res, err
+			if sw != nil {
+				if err := sw.Append(rec); err != nil {
+					return res, err
+				}
 			}
 			res.Ran++
 			elapsed := time.Duration(rec.ElapsedMS) * time.Millisecond

@@ -256,9 +256,10 @@ type AtomicFile = persist.File
 // CreateAtomic opens an AtomicFile that will atomically replace path.
 var CreateAtomic = persist.CreateAtomic
 
-// Resumable experiment sweeps: RunSweep journals one record per
-// experiment cell under a panic guard and watchdog, and resumes a run
-// directory by skipping completed cells.
+// Resumable experiment sweeps: RunSweep runs each experiment cell under
+// a panic guard and watchdog, journals one record per cell to a run
+// directory, and resumes a run directory by skipping completed cells.
+// An empty Dir journals nothing.
 
 // SweepConfig configures a resumable experiment sweep.
 type SweepConfig = experiments.SweepConfig
@@ -278,7 +279,8 @@ const (
 	SweepCellWedged  = experiments.CellWedged
 )
 
-// RunSweep runs experiments into a journaled run directory.
+// RunSweep runs experiments, journaling each cell into a run directory
+// unless Dir is empty.
 var RunSweep = experiments.RunSweep
 
 // SweepStatus summarizes a run directory's journal without running
@@ -439,6 +441,9 @@ type Experiment = experiments.Experiment
 
 // Experiments lists every paper table/figure plus the extensions.
 var Experiments = experiments.All
+
+// ExperimentByID returns the experiment with the given id.
+var ExperimentByID = experiments.ByID
 
 // RunExperiment runs one experiment by id ("fig5", "table6", ...).
 func RunExperiment(id string, lab *Lab) (*ResultTable, error) {
