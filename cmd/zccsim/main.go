@@ -142,8 +142,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 				return fmt.Errorf("-burst requires -zc-factor > 0")
 			}
 			wcfg.Shape = zccloud.Burst
-			horizon := zccloud.Time(*days) * zccloud.Day
-			wcfg.UptimeWindows = materialize(zc, horizon)
+			wcfg.UptimeWindows = zccloud.Materialize(zc, 0, zccloud.Time(*days)*zccloud.Day)
 		}
 		tr, err = zccloud.GenerateWorkload(wcfg)
 		if err != nil {
@@ -273,21 +272,4 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	h.Linger(*httpLinger)
 	return nil
-}
-
-func materialize(m zccloud.AvailabilityModel, horizon zccloud.Time) []zccloud.Window {
-	var out []zccloud.Window
-	t := zccloud.Time(0)
-	for t < horizon {
-		w, ok := m.NextUp(t)
-		if !ok || w.Start >= horizon {
-			break
-		}
-		if w.End > horizon {
-			w.End = horizon
-		}
-		out = append(out, w)
-		t = w.End
-	}
-	return out
 }

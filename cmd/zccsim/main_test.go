@@ -7,31 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"zccloud"
 )
-
-func TestMaterialize(t *testing.T) {
-	m := zccloud.NewPeriodic(0.5, 0) // up the first 12h of each day
-	ws := materialize(m, 2*zccloud.Day)
-	if len(ws) != 2 {
-		t.Fatalf("windows = %d, want 2", len(ws))
-	}
-	if ws[0].Start != 0 || ws[0].End != 12*zccloud.Hour {
-		t.Errorf("first window = %+v", ws[0])
-	}
-	if ws[1].Start != zccloud.Day {
-		t.Errorf("second window starts %v", ws[1].Start)
-	}
-}
-
-func TestMaterializeClipsHorizon(t *testing.T) {
-	m := zccloud.AlwaysOn{}
-	ws := materialize(m, 100)
-	if len(ws) != 1 || ws[0].End != 100 {
-		t.Fatalf("always-on should clip to horizon: %+v", ws)
-	}
-}
 
 func TestRunVersion(t *testing.T) {
 	var out, errw bytes.Buffer

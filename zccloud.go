@@ -119,6 +119,9 @@ type AvailabilityModel = availability.Model
 // Window is a half-open availability interval.
 type Window = availability.Window
 
+// Materialize lists a model's uptime windows clipped to [from, to).
+var Materialize = availability.Materialize
+
 // AlwaysOn is a partition that never loses power.
 type AlwaysOn = availability.AlwaysOn
 
