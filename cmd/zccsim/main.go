@@ -92,11 +92,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	var zc zccloud.AvailabilityModel
 	if *zcFactor > 0 {
-		if *zcDuty >= 1 {
-			zc = zccloud.AlwaysOn{}
-		} else {
-			zc = zccloud.NewPeriodic(*zcDuty, zccloud.Time(*zcPhase)*zccloud.Hour)
-		}
+		zc = zccloud.DutyAvailability(*zcDuty, zccloud.Time(*zcPhase)*zccloud.Hour)
 	}
 
 	// A restored run replays the same workload, so its stdout matches an
@@ -153,35 +149,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "workload: %d jobs over %.0f days, %.0f M node-hours (%.1f%% of Mira)\n",
 		st.Jobs, st.Days, st.NodeHours/1e6, 100*st.Utilization)
 
-	// Fault injection: any fault flag arms the injector. Failures target
-	// the ZC partition when one exists, the base system otherwise.
-	var fc *zccloud.FaultConfig
-	if *mtbf > 0 || *brownout > 0 || *forecastErr > 0 || *retryLimit > 0 || *backoff > 0 {
-		fc = &zccloud.FaultConfig{
-			Seed:          *faultSeed,
-			ForecastErrSD: zccloud.Time(*forecastErr) * zccloud.Hour,
-			BrownoutProb:  *brownout,
-			RetryLimit:    *retryLimit,
-			Backoff:       zccloud.Time(*backoff) * zccloud.Hour,
-			BackoffJitter: *backoffJit,
-		}
-		if fc.Seed == 0 {
-			fc.Seed = *seed + 1
-		}
-		if *mtbf > 0 {
-			part := zccloud.MiraPartitionName
-			if *zcFactor > 0 {
-				part = zccloud.ZCPartitionName
-			}
-			per := *nodes / 64
-			if per < 1 {
-				per = 1
-			}
-			fc.Nodes = map[string]zccloud.NodeFailureConfig{
-				part: {MTBF: zccloud.Time(*mtbf) * zccloud.Hour, NodesPerFailure: per},
-			}
-		}
+	// Fault injection: any fault flag arms the injector.
+	if *faultSeed == 0 {
+		*faultSeed = *seed + 1
 	}
+	fc := zccloud.FaultKnobs{
+		Seed:             *faultSeed,
+		MTBFHours:        *mtbf,
+		BrownoutProb:     *brownout,
+		ForecastErrHours: *forecastErr,
+		RetryLimit:       *retryLimit,
+		BackoffHours:     *backoff,
+		BackoffJitter:    *backoffJit,
+	}.Config(*nodes, *zcFactor > 0)
 
 	runCfg := zccloud.RunConfig{
 		Trace: tr,

@@ -32,6 +32,57 @@ const (
 	ZCPartition   = "zc"
 )
 
+// DutyAvailability is a ZCCloud partition's power at a daily duty
+// factor: always on at a duty of 1 or more, otherwise up for that
+// fraction of each day from phase on.
+func DutyAvailability(duty float64, phase sim.Time) availability.Model {
+	if duty >= 1 {
+		return availability.AlwaysOn{}
+	}
+	return availability.NewPeriodic(duty, phase)
+}
+
+// FaultKnobs are the flat fault-injection settings of one run request,
+// as zccsim's flags and a zccd run spec carry them; times are in hours.
+type FaultKnobs struct {
+	Seed             int64
+	MTBFHours        float64
+	BrownoutProb     float64
+	ForecastErrHours float64
+	RetryLimit       int
+	BackoffHours     float64
+	BackoffJitter    bool
+}
+
+// Config arms the fault injector when any knob other than Seed and
+// BackoffJitter is set, and is nil otherwise. Node failures strike the
+// ZC partition when the system has one (hasZC), the base system
+// otherwise, each taking 1/64 of the base system's nodes (at least one).
+func (k FaultKnobs) Config(miraNodes int, hasZC bool) *faults.Config {
+	if k.MTBFHours <= 0 && k.BrownoutProb <= 0 && k.ForecastErrHours <= 0 &&
+		k.RetryLimit <= 0 && k.BackoffHours <= 0 {
+		return nil
+	}
+	fc := &faults.Config{
+		Seed:          k.Seed,
+		ForecastErrSD: sim.Duration(k.ForecastErrHours) * sim.Hour,
+		BrownoutProb:  k.BrownoutProb,
+		RetryLimit:    k.RetryLimit,
+		Backoff:       sim.Duration(k.BackoffHours) * sim.Hour,
+		BackoffJitter: k.BackoffJitter,
+	}
+	if k.MTBFHours > 0 {
+		part := MiraPartition
+		if hasZC {
+			part = ZCPartition
+		}
+		fc.Nodes = map[string]faults.NodeFailures{
+			part: {MTBF: sim.Duration(k.MTBFHours) * sim.Hour, NodesPerFailure: max(miraNodes/64, 1)},
+		}
+	}
+	return fc
+}
+
 // SystemConfig describes a Mira-ZCCloud deployment (paper, Figure 4).
 type SystemConfig struct {
 	// MiraNodes is the base system size; defaults to 49,152.

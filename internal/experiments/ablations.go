@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"zccloud/internal/core"
 	"zccloud/internal/sim"
 	"zccloud/internal/stranded"
 )
@@ -19,7 +20,7 @@ func BackfillAblation(l *Lab) (*Table, error) {
 		Title:   "Ablation: EASY backfill vs plain FCFS (1xWorkload)",
 		Columns: []string{"System", "Scheduler", "Avg wait (h)", "Completed"},
 	}
-	zc := periodicZC(0.5)
+	zc := core.DutyAvailability(0.5, zcPhase)
 	var specs []runSpec
 	var rows [][2]string
 	for _, sys := range []struct {
@@ -105,7 +106,7 @@ func BurstinessAblation(l *Lab) (*Table, error) {
 	campaigns := []float64{1, 2, 4}
 	var specs []runSpec
 	for _, cm := range campaigns {
-		mira, mz := l.mz(1, 0, nil), l.mz(1, 1, periodicZC(0.5))
+		mira, mz := l.mz(1, 0, nil), l.mz(1, 1, core.DutyAvailability(0.5, zcPhase))
 		mira.trace = traceSpec{campaign: cm}
 		mz.trace = mira.trace
 		specs = append(specs, mira, mz)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"zccloud/internal/availability"
+	"zccloud/internal/core"
 	"zccloud/internal/faults"
 	"zccloud/internal/miso"
 	"zccloud/internal/obs"
@@ -99,7 +100,7 @@ func TestRunAllStopsAtInterrupt(t *testing.T) {
 	stop := true
 	reg := obs.NewRegistry()
 	l.SetObs(obs.Options{Metrics: reg, Interrupt: func() bool { return stop }})
-	specs := []runSpec{l.mz(1, 0, nil), l.mz(1.5, 1, periodicZC(0.5))}
+	specs := []runSpec{l.mz(1, 0, nil), l.mz(1.5, 1, core.DutyAvailability(0.5, zcPhase))}
 	res, err := l.runAll(specs)
 	if !errors.Is(err, sched.ErrInterrupted) || res != nil {
 		t.Fatalf("runAll = %v, %v; want no results and sched.ErrInterrupted", res, err)
@@ -159,7 +160,7 @@ func (f fixedEnd) PredictedEnd(start, now sim.Time) sim.Time { return start + si
 // that inject faults or predict window ends have no key.
 func TestRunKeyDistinguishesSpecs(t *testing.T) {
 	l := NewLab(Options{Seed: 1, WorkloadDays: 3, MarketDays: 5, WindSites: 12, MiraNodes: 4096})
-	base := l.mz(1, 1, periodicZC(0.5))
+	base := l.mz(1, 1, core.DutyAvailability(0.5, zcPhase))
 	baseKey, ok := base.key()
 	if !ok {
 		t.Fatal("a plain M-Z run has no key")
@@ -197,7 +198,7 @@ func TestRunKeyDistinguishesSpecs(t *testing.T) {
 			}
 			continue
 		case "ZCAvail":
-			s.sys.ZCAvail = periodicZC(0.25)
+			s.sys.ZCAvail = core.DutyAvailability(0.25, zcPhase)
 		default:
 			switch f.Kind() {
 			case reflect.Int:
@@ -223,7 +224,7 @@ func TestRunKeyDistinguishesSpecs(t *testing.T) {
 	campaign.trace = traceSpec{campaign: 2}
 	distinct("campaign trace", campaign)
 	classified := base
-	classified.classify = periodicZC(0.5)
+	classified.classify = core.DutyAvailability(0.5, zcPhase)
 	distinct("classify", classified)
 
 	// Identical SP availability is the identical trace, so runs on it
@@ -251,7 +252,7 @@ func TestRunKeyDistinguishesSpecs(t *testing.T) {
 // with no second memoized copy of it.
 func TestScaleOneIsBaseTrace(t *testing.T) {
 	l := NewLab(Options{Seed: 1, WorkloadDays: 3, MiraNodes: 4096})
-	res, err := l.runAll([]runSpec{l.mz(1, 0, nil), l.mz(1, 1, periodicZC(0.5))})
+	res, err := l.runAll([]runSpec{l.mz(1, 0, nil), l.mz(1, 1, core.DutyAvailability(0.5, zcPhase))})
 	if err != nil {
 		t.Fatal(err)
 	}

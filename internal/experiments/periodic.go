@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"zccloud/internal/availability"
+	"zccloud/internal/core"
 	"zccloud/internal/sim"
 	"zccloud/internal/workload"
 )
@@ -11,15 +12,6 @@ import (
 // zcPhase is the daily uptime start of the periodic model: 20:00, the
 // paper's example window (20:00 → 08:00 at 50% duty).
 const zcPhase = 20 * sim.Hour
-
-// periodicZC builds the paper's daily periodic availability at a duty
-// factor.
-func periodicZC(duty float64) availability.Model {
-	if duty >= 1 {
-		return availability.AlwaysOn{}
-	}
-	return availability.NewPeriodic(duty, zcPhase)
-}
 
 // Table1 reproduces Table I: the workload trace statistics.
 func Table1(l *Lab) (*Table, error) {
@@ -66,7 +58,7 @@ func Table2(l *Lab) (*Table, error) {
 // Mira-ZCCloud with 1xMira at 50% duty at the same workload (1x) and at
 // the same utilization (1.5x).
 func (l *Lab) sameUtilization() []runSpec {
-	zc := periodicZC(0.5)
+	zc := core.DutyAvailability(0.5, zcPhase)
 	return []runSpec{l.mz(1, 0, nil), l.mz(1, 1, zc), l.mz(1.5, 1, zc)}
 }
 
@@ -109,7 +101,7 @@ func Fig6(l *Lab) (*Table, error) {
 	// Baseline waits per class: the scheduler only classifies jobs when a
 	// ZC partition exists, so classify the baseline's jobs against the
 	// same hypothetical window here.
-	specs[0].classify = periodicZC(0.5)
+	specs[0].classify = core.DutyAvailability(0.5, zcPhase)
 	res, err := l.runAll(specs)
 	if err != nil {
 		return nil, err
@@ -140,7 +132,7 @@ func Fig6(l *Lab) (*Table, error) {
 
 // Fig7 reproduces Figure 7: average wait vs workload size and shape.
 func Fig7(l *Lab) (*Table, error) {
-	zc := periodicZC(0.5)
+	zc := core.DutyAvailability(0.5, zcPhase)
 	burst := l.mz(1.5, 1, zc)
 	burst.trace.burst = true
 	burst.trace.up = availability.Materialize(zc, 0, sim.Time(l.opt.WorkloadDays*float64(sim.Day)))
@@ -175,7 +167,7 @@ func Fig8(l *Lab) (*Table, error) {
 	specs := []runSpec{l.mz(1, 0, nil)}
 	for _, size := range sizes {
 		for _, duty := range duties {
-			specs = append(specs, l.mz(1+duty*size, size, periodicZC(duty)))
+			specs = append(specs, l.mz(1+duty*size, size, core.DutyAvailability(duty, zcPhase)))
 		}
 	}
 	res, err := l.runAll(specs)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"zccloud/internal/availability"
+	"zccloud/internal/core"
 	"zccloud/internal/forecast"
 	"zccloud/internal/sim"
 	"zccloud/internal/stats"
@@ -27,7 +28,7 @@ func Fig13(l *Lab) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		specs = append(specs, l.mz(1, 1, spAvail), l.mz(1, 1, periodicZC(best[i].DutyFactor)))
+		specs = append(specs, l.mz(1, 1, spAvail), l.mz(1, 1, core.DutyAvailability(best[i].DutyFactor, zcPhase)))
 	}
 	res, err := l.runAll(specs)
 	if err != nil {

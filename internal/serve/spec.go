@@ -186,36 +186,17 @@ func (sp Spec) Validate() error {
 	return nil
 }
 
-// faultConfig arms the injector when any fault field is set, mirroring
-// zccsim's flag handling: failures target the ZC partition when one
-// exists, the base system otherwise.
+// faultConfig arms the injector when any fault field is set.
 func (sp Spec) faultConfig() *faults.Config {
-	if sp.MTBFHours == 0 && sp.BrownoutProb == 0 && sp.ForecastErrHours == 0 &&
-		sp.RetryLimit == 0 && sp.BackoffHours == 0 {
-		return nil
-	}
-	fc := &faults.Config{
-		Seed:          sp.FaultSeed,
-		ForecastErrSD: sim.Duration(sp.ForecastErrHours) * sim.Hour,
-		BrownoutProb:  sp.BrownoutProb,
-		RetryLimit:    sp.RetryLimit,
-		Backoff:       sim.Duration(sp.BackoffHours) * sim.Hour,
-		BackoffJitter: sp.BackoffJitter,
-	}
-	if sp.MTBFHours > 0 {
-		part := core.MiraPartition
-		if sp.ZCFactor > 0 {
-			part = core.ZCPartition
-		}
-		per := sp.MiraNodes / 64
-		if per < 1 {
-			per = 1
-		}
-		fc.Nodes = map[string]faults.NodeFailures{
-			part: {MTBF: sim.Duration(sp.MTBFHours) * sim.Hour, NodesPerFailure: per},
-		}
-	}
-	return fc
+	return core.FaultKnobs{
+		Seed:             sp.FaultSeed,
+		MTBFHours:        sp.MTBFHours,
+		BrownoutProb:     sp.BrownoutProb,
+		ForecastErrHours: sp.ForecastErrHours,
+		RetryLimit:       sp.RetryLimit,
+		BackoffHours:     sp.BackoffHours,
+		BackoffJitter:    sp.BackoffJitter,
+	}.Config(sp.MiraNodes, sp.ZCFactor > 0)
 }
 
 // runConfig turns a (defaulted, validated) simulation spec into a
@@ -235,11 +216,7 @@ func (sp Spec) runConfig(o obs.Options) (core.RunConfig, error) {
 	}
 	var zc availability.Model
 	if sp.ZCFactor > 0 {
-		if sp.ZCDuty >= 1 {
-			zc = availability.AlwaysOn{}
-		} else {
-			zc = availability.NewPeriodic(sp.ZCDuty, sim.Time(sp.ZCPhaseHours)*sim.Hour)
-		}
+		zc = core.DutyAvailability(sp.ZCDuty, sim.Time(sp.ZCPhaseHours)*sim.Hour)
 	}
 	o.Check = o.Check || sp.Check
 	return core.RunConfig{

@@ -154,6 +154,10 @@ const (
 // SystemConfig describes a Mira-ZCCloud deployment.
 type SystemConfig = core.SystemConfig
 
+// DutyAvailability is a ZCCloud partition's power at a daily duty
+// factor: AlwaysOn at a duty of 1 or more, Periodic from phase otherwise.
+var DutyAvailability = core.DutyAvailability
+
 // FaultConfig configures fault injection: stochastic node failures,
 // availability forecast error, brownouts, and the recovery policy
 // (requeue order, bounded retries with backoff). Attach one to
@@ -165,6 +169,10 @@ type FaultConfig = faults.Config
 // draws, or Weibull when a shape is set), mean repair time, and nodes
 // taken down per failure.
 type NodeFailureConfig = faults.NodeFailures
+
+// FaultKnobs are zccsim's flat fault settings (hours); their Config
+// method arms a FaultConfig the way zccsim and zccd do.
+type FaultKnobs = core.FaultKnobs
 
 // Requeue policies for killed jobs.
 const (
