@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"zccloud/internal/availability"
 	"zccloud/internal/core"
@@ -75,11 +76,10 @@ type Lab struct {
 	scaled    map[string]*job.Trace
 	runs      map[runKey]runResult
 
-	// SP availability per model and per (model, top-N union). A run's
-	// memo key compares its availability by pointer, so identical SP
-	// availability must be the identical trace.
-	bestAvail  map[stranded.Model]*availability.IntervalTrace
-	multiAvail map[multiSite]*availability.IntervalTrace
+	// Every distinct SP availability trace built so far. A run's memo
+	// key compares its availability by pointer, so tiled hands back the
+	// earlier trace when a new one has the same windows.
+	avail []*availability.IntervalTrace
 
 	spDone     bool
 	spResults  map[stranded.Model][]stranded.SiteStats // per wind unit
@@ -95,8 +95,6 @@ func NewLab(opt Options) *Lab {
 		opt:        opt.withDefaults(),
 		scaled:     make(map[string]*job.Trace),
 		runs:       make(map[runKey]runResult),
-		bestAvail:  make(map[stranded.Model]*availability.IntervalTrace),
-		multiAvail: make(map[multiSite]*availability.IntervalTrace),
 		spResults:  make(map[stranded.Model][]stranded.SiteStats),
 		spNodes:    make(map[stranded.Model][]stranded.SiteStats),
 		nodeRegion: make(map[int]int),
@@ -505,63 +503,52 @@ func (l *Lab) BestSite(m stranded.Model) (stranded.SiteStats, error) {
 
 // BestSiteAvailability converts the best site's SP intervals under a
 // model into an availability trace for the ZCCloud partition, repeating
-// or truncating to cover the workload span. It is memoized per model.
+// or truncating to cover the workload span.
 func (l *Lab) BestSiteAvailability(m stranded.Model) (*availability.IntervalTrace, error) {
-	if t, ok := l.bestAvail[m]; ok {
-		return t, nil
-	}
 	best, err := l.BestSite(m)
 	if err != nil {
 		return nil, err
 	}
-	t := l.tiled(stranded.Windows(best.Intervals))
-	l.bestAvail[m] = t
-	return t, nil
-}
-
-// multiSite names the union availability of a model's top-n wind nodes.
-type multiSite struct {
-	m stranded.Model
-	n int
+	return l.tiled(stranded.Windows(best.Intervals)), nil
 }
 
 // MultiSiteAvailability returns the union availability of the top-N wind
-// nodes under a model (Section VIII future work: multi-site ZCCloud). It
-// is memoized per model and N.
+// nodes under a model (Section VIII future work: multi-site ZCCloud).
 func (l *Lab) MultiSiteAvailability(m stranded.Model, n int) (*availability.IntervalTrace, error) {
 	res, err := l.SPNodeResults(m)
 	if err != nil {
 		return nil, err
 	}
-	if n > len(res) {
-		n = len(res)
-	}
-	if t, ok := l.multiAvail[multiSite{m, n}]; ok {
-		return t, nil
-	}
 	var all []availability.Window
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && i < len(res); i++ {
 		all = append(all, stranded.Windows(res[i].Intervals)...)
 	}
-	t := l.tiled(availability.Normalize(all))
-	l.multiAvail[multiSite{m, n}] = t
-	return t, nil
+	return l.tiled(availability.Normalize(all)), nil
 }
 
 // tiled turns market-span windows into an availability trace. The
 // market dataset may be shorter than the workload span, so the windows
-// repeat with the market's period until the workload is covered.
+// repeat with the market's period until the workload is covered. Equal
+// windows give the identical trace: tiled returns the Lab's earlier
+// trace when it has one with the same windows.
 func (l *Lab) tiled(ws []availability.Window) *availability.IntervalTrace {
 	span := sim.Time(l.opt.WorkloadDays * float64(sim.Day))
 	market := sim.Time(l.opt.MarketDays * float64(sim.Day))
-	if market <= 0 {
-		return availability.NewIntervalTrace(ws)
-	}
-	var tiled []availability.Window
-	for off := sim.Time(0); off < span+sim.Day; off += market {
-		for _, w := range ws {
-			tiled = append(tiled, availability.Window{Start: w.Start + off, End: w.End + off})
+	tiled := ws
+	if market > 0 {
+		tiled = nil
+		for off := sim.Time(0); off < span+sim.Day; off += market {
+			for _, w := range ws {
+				tiled = append(tiled, availability.Window{Start: w.Start + off, End: w.End + off})
+			}
 		}
 	}
-	return availability.NewIntervalTrace(tiled)
+	t := availability.NewIntervalTrace(tiled)
+	for _, prev := range l.avail {
+		if slices.Equal(prev.Windows(), t.Windows()) {
+			return prev
+		}
+	}
+	l.avail = append(l.avail, t)
+	return t
 }

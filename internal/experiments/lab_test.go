@@ -246,6 +246,19 @@ func TestRunKeyDistinguishesSpecs(t *testing.T) {
 			t.Errorf("%s built a second trace for the same arguments", name)
 		}
 	}
+	// A 1-site union has the best site's windows, so it is the same
+	// trace even though it is built another way.
+	best, err := l.BestSiteAvailability(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := l.MultiSiteAvailability(model, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if best != one {
+		t.Error("the 1-site union is a second trace with the best site's windows")
+	}
 }
 
 // TestScaleOneIsBaseTrace: Mira@1x and M-Z@1x share the base trace,

@@ -405,8 +405,8 @@ var tinyTableDigests = map[string]string{
 
 const (
 	tinyRuns   = 91
-	tinyReused = 28
-	tinyEvents = 337553
+	tinyReused = 33
+	tinyEvents = 315931
 )
 
 // TestSweepContextCancelBetweenCells: SweepConfig.Context is the
