@@ -125,3 +125,26 @@ func TestRunMarkdownIncludesMetrics(t *testing.T) {
 		t.Error("markdown output missing jobs-started row")
 	}
 }
+
+// TestRunReportsFailedCellAtEnd: without -run-dir, a cell that fails
+// (here its watchdog fires at once) is reported when the sweep ends,
+// after the other cells' tables and the telemetry summary are rendered.
+func TestRunReportsFailedCellAtEnd(t *testing.T) {
+	var out, errw bytes.Buffer
+	err := run([]string{"-quick", "-mira-nodes", "4096", "-ids", "fig5,table1",
+		"-cell-timeout", "1ns"}, &out, &errw)
+	if err == nil || !strings.Contains(err.Error(), "1 cell(s) failed (fig5)") {
+		t.Fatalf("err = %v, want fig5 reported failed\nstderr: %s", err, errw.String())
+	}
+	if strings.Contains(err.Error(), "-resume") {
+		t.Errorf("an unjournaled run hints at a resume: %v", err)
+	}
+	for _, want := range []string{"table1 — ", "Telemetry summary"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("stdout lacks %q:\n%s", want, out.String())
+		}
+	}
+	if !strings.Contains(errw.String(), "fig5         timeout") {
+		t.Errorf("stderr does not report fig5's timeout:\n%s", errw.String())
+	}
+}

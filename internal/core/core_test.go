@@ -282,3 +282,31 @@ func TestRunContextCancelAndResume(t *testing.T) {
 		t.Fatalf("dead-context run err = %v, want *Interrupted", err)
 	}
 }
+
+func TestDutyAvailability(t *testing.T) {
+	if _, ok := DutyAvailability(1, 0).(availability.AlwaysOn); !ok {
+		t.Error("a duty of 1 is not always on")
+	}
+	p, ok := DutyAvailability(0.25, 3*sim.Hour).(availability.Periodic)
+	if !ok || p != availability.NewPeriodic(0.25, 3*sim.Hour) {
+		t.Errorf("duty 0.25 from 03:00 = %#v", p)
+	}
+}
+
+func TestFaultKnobsConfig(t *testing.T) {
+	if fc := (FaultKnobs{Seed: 9, BackoffJitter: true}).Config(4096, true); fc != nil {
+		t.Fatalf("knobs with nothing armed built %+v", fc)
+	}
+	fc := FaultKnobs{Seed: 9, MTBFHours: 12, ForecastErrHours: 0.5}.Config(100, false)
+	if fc == nil || fc.Seed != 9 || fc.ForecastErrSD != sim.Hour/2 {
+		t.Fatalf("config = %+v", fc)
+	}
+	nf, ok := fc.Nodes[MiraPartition]
+	if !ok || len(fc.Nodes) != 1 || nf.MTBF != 12*sim.Hour || nf.NodesPerFailure != 1 {
+		t.Errorf("without a ZC partition, failures = %+v; want 1 node per 12 h on mira", fc.Nodes)
+	}
+	fc = FaultKnobs{MTBFHours: 12}.Config(4096, true)
+	if nf := fc.Nodes[ZCPartition]; nf.NodesPerFailure != 64 {
+		t.Errorf("with a ZC partition, failures = %+v; want 64 nodes on zc", fc.Nodes)
+	}
+}

@@ -6,6 +6,8 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"os"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -92,35 +94,89 @@ func TestSweepJournalAndResume(t *testing.T) {
 	}
 }
 
+// TestSweepPanicGuard runs a panicking cell between two good ones, into
+// a run directory and unjournaled (an empty Dir): both record the same
+// outcomes, the unjournaled sweep writes no file, and OnCell hands over
+// each ok cell's table in experiment order.
 func TestSweepPanicGuard(t *testing.T) {
-	tr := &obs.Mem{}
-	reg := obs.NewRegistry()
 	exps := []Experiment{
+		okExp("before"),
 		fakeExp("boom", func(*Lab) (*Table, error) { panic("cell exploded") }),
 		okExp("after"),
 	}
-	res, err := RunSweep(SweepConfig{
-		Dir: t.TempDir(), Options: Quick(1), Experiments: exps,
-		Obs: obs.Options{Tracer: tr, Metrics: reg},
-	})
-	if err != nil {
-		t.Fatal(err)
+	var records []map[string]CellRecord
+	for _, dir := range []string{t.TempDir(), ""} {
+		// Run from an empty working directory, so that any file the
+		// sweep writes shows up there.
+		wd := t.TempDir()
+		prev, err := os.Getwd()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Chdir(wd); err != nil {
+			t.Fatal(err)
+		}
+		tr := &obs.Mem{}
+		reg := obs.NewRegistry()
+		var tables []string
+		res, err := RunSweep(SweepConfig{
+			Dir: dir, Options: Quick(1), Experiments: exps,
+			Obs: obs.Options{Tracer: tr, Metrics: reg},
+			OnCell: func(rec CellRecord, _ bool) {
+				if rec.Status == CellOK {
+					tables = append(tables, rec.Table.ID)
+				}
+			},
+		})
+		if cerr := os.Chdir(prev); cerr != nil {
+			t.Fatal(cerr)
+		}
+		if err != nil {
+			t.Fatalf("dir %q: %v", dir, err)
+		}
+		rec := res.Records["boom"]
+		if rec.Status != CellPanic {
+			t.Fatalf("dir %q: status = %s, want panic", dir, rec.Status)
+		}
+		if !strings.Contains(rec.Error, "cell exploded") || rec.Stack == "" {
+			t.Errorf("dir %q: panic record missing message or stack: %+v", dir, rec.Error)
+		}
+		if res.Records["after"].Status != CellOK {
+			t.Errorf("dir %q: sweep did not continue past the panicking cell", dir)
+		}
+		if len(res.Failed) != 1 || res.Failed[0] != "boom" {
+			t.Errorf("dir %q: failed = %v", dir, res.Failed)
+		}
+		if len(tr.Filter(obs.EvCellPanic)) != 1 {
+			t.Errorf("dir %q: no cell-panic trace event", dir)
+		}
+		if got := reg.Scope("sweep").Counter("cell_panics").Value(); got != 1 {
+			t.Errorf("dir %q: cell_panics = %d", dir, got)
+		}
+		if got := strings.Join(tables, ","); got != "before,after" {
+			t.Errorf("dir %q: OnCell saw ok tables %s, want before,after", dir, got)
+		}
+		if ents, err := os.ReadDir(wd); err != nil || len(ents) != 0 {
+			t.Errorf("dir %q: the sweep wrote %v into the working directory (%v)", dir, ents, err)
+		}
+		records = append(records, res.Records)
 	}
-	rec := res.Records["boom"]
-	if rec.Status != CellPanic {
-		t.Fatalf("status = %s, want panic", rec.Status)
+	journaled, unjournaled := records[0], records[1]
+	if len(journaled) != len(unjournaled) {
+		t.Fatalf("records: %d journaled, %d unjournaled", len(journaled), len(unjournaled))
 	}
-	if !strings.Contains(rec.Error, "cell exploded") || rec.Stack == "" {
-		t.Errorf("panic record missing message or stack: %+v", rec.Error)
+	for id, a := range journaled {
+		b := unjournaled[id]
+		if a.Status != b.Status || a.Error != b.Error || !reflect.DeepEqual(a.Table, b.Table) {
+			t.Errorf("cell %s: journaled %s %q, unjournaled %s %q", id, a.Status, a.Error, b.Status, b.Error)
+		}
 	}
-	if res.Records["after"].Status != CellOK {
-		t.Error("sweep did not continue past the panicking cell")
-	}
-	if len(tr.Filter(obs.EvCellPanic)) != 1 {
-		t.Error("no cell-panic trace event")
-	}
-	if got := reg.Scope("sweep").Counter("cell_panics").Value(); got != 1 {
-		t.Errorf("cell_panics = %d", got)
+}
+
+func TestSweepResumeNeedsDir(t *testing.T) {
+	_, err := RunSweep(SweepConfig{Options: Quick(1), Experiments: []Experiment{okExp("a")}, Resume: true})
+	if err == nil || !strings.Contains(err.Error(), "resume needs a run directory") {
+		t.Fatalf("err = %v, want resume needs a run directory", err)
 	}
 }
 

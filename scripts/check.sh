@@ -176,6 +176,16 @@ if ! cmp -s "$tmpdir/warm.tables" "$tmpdir/cold.tables"; then
 	exit 1
 fi
 
+echo "== journaled and unjournaled zccexp render the same tables"
+# Both modes run every cell through RunSweep; a run directory only adds
+# the journal, so the tables must not change.
+"$tmpdir/zccexp" -quick -run-dir "$tmpdir/journaled" | sed '/Telemetry summary/,$d' >"$tmpdir/journaled.tables"
+if ! cmp -s "$tmpdir/warm.tables" "$tmpdir/journaled.tables"; then
+	echo "a journaled zccexp run renders other tables than an unjournaled one" >&2
+	diff "$tmpdir/warm.tables" "$tmpdir/journaled.tables" >&2 || true
+	exit 1
+fi
+
 echo "== live introspection endpoint smoke test"
 # Start a run with -http on an ephemeral port (lingering after the run
 # so the scrape can't race a fast finish), scrape /metrics and /status,
