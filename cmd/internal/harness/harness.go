@@ -255,11 +255,12 @@ func (r *Run) Finish(render func(*experiments.Table)) error {
 		if err != nil {
 			return fmt.Errorf("creating heap profile: %w", err)
 		}
-		defer f.Close()
 		runtime.GC()
 		if err := pprof.WriteHeapProfile(f); err != nil {
+			f.Close()
 			return err
 		}
+		return f.Close()
 	}
 	return nil
 }
