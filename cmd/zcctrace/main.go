@@ -7,7 +7,6 @@
 // Usage:
 //
 //	zcctrace summary  t.zct              # whole-trace digest
-//	zcctrace summary  -j 8 big.zct       # fan .zct blocks across 8 cores
 //	zcctrace hist     t.jsonl            # event-kind histogram
 //	zcctrace series   -step 1h t.zct     # queue/utilization time series (CSV)
 //	zcctrace series   -format markdown t.jsonl.gz
@@ -19,9 +18,11 @@
 //
 // All subcommands detect the input format by content, never the file
 // name, so gzipped and binary traces are read transparently; "-" means
-// stdin. The -j flag on summary, hist, and series decodes .zct blocks
-// in parallel with output identical to -j 1 (other formats fall back to
-// the sequential scan).
+// stdin. summary, hist, and series decode a .zct file's blocks on
+// GOMAXPROCS cores (set the GOMAXPROCS environment variable to bound
+// them) and print exactly what a sequential scan of the same trace
+// prints; stdin, JSONL, gzipped and torn .zct inputs are scanned
+// sequentially.
 package main
 
 import (
@@ -56,8 +57,9 @@ commands:
   diff       compare two traces; report the first divergent event
   export     convert any trace to JSONL (byte-identical to a direct JSONL run)
 
-summary, hist, and series take -j N to decode .zct blocks on N cores
-(output is identical to -j 1); run "zcctrace <command> -h" for flags
+summary, hist, and series decode a .zct file's blocks on GOMAXPROCS
+cores; the output does not depend on the core count. Run
+"zcctrace <command> -h" for flags
 `
 
 func run(args []string, stdout, stderr io.Writer) error {
@@ -121,25 +123,20 @@ func render(w io.Writer, t *zccloud.ResultTable, markdown bool) {
 	}
 }
 
-// summarizeArg digests the trace argument: block-parallel over a .zct
-// file path, streaming over stdin or non-.zct formats.
-func summarizeArg(path string, jobs int) (*zccloud.TraceSummary, error) {
-	if path == "-" {
-		return zccloud.SummarizeTrace(os.Stdin)
-	}
-	return zccloud.SummarizeTraceFile(path, jobs)
-}
-
 func cmdSummary(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("zcctrace summary", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	markdown := fs.Bool("markdown", false, "render markdown instead of text")
-	jobs := fs.Int("j", 1, "decode .zct blocks on N goroutines (output identical to -j 1)")
 	path, err := oneTraceArg(fs, args)
 	if err != nil {
 		return err
 	}
-	s, err := summarizeArg(path, *jobs)
+	var s *zccloud.TraceSummary
+	if path == "-" {
+		s, err = zccloud.SummarizeTrace(os.Stdin)
+	} else {
+		s, err = zccloud.SummarizeTraceFile(path)
+	}
 	if err != nil {
 		return err
 	}
@@ -172,12 +169,16 @@ func cmdHist(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("zcctrace hist", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	markdown := fs.Bool("markdown", false, "render markdown instead of text")
-	jobs := fs.Int("j", 1, "decode .zct blocks on N goroutines (output identical to -j 1)")
 	path, err := oneTraceArg(fs, args)
 	if err != nil {
 		return err
 	}
-	s, err := summarizeArg(path, *jobs)
+	var s *zccloud.TraceSummary
+	if path == "-" {
+		s, err = zccloud.SummarizeTrace(os.Stdin)
+	} else {
+		s, err = zccloud.SummarizeTraceFile(path)
+	}
 	if err != nil {
 		return err
 	}
@@ -202,10 +203,12 @@ func cmdSeries(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	step := fs.Duration("step", time.Hour, "sample step in simulated time (e.g. 30m, 6h)")
 	format := fs.String("format", "csv", "output format: csv or markdown")
-	jobs := fs.Int("j", 1, "decode .zct blocks on N goroutines (output identical to -j 1)")
 	path, err := oneTraceArg(fs, args)
 	if err != nil {
 		return err
+	}
+	if *step <= 0 {
+		return fmt.Errorf("-step must be positive, got %s", *step)
 	}
 	if *format != "csv" && *format != "markdown" {
 		return fmt.Errorf("unknown -format %q (want csv or markdown)", *format)
@@ -214,7 +217,7 @@ func cmdSeries(args []string, stdout, stderr io.Writer) error {
 	if path == "-" {
 		s, err = zccloud.BuildTraceSeries(os.Stdin, zccloud.Time(step.Seconds()))
 	} else {
-		s, err = zccloud.BuildTraceSeriesFile(path, zccloud.Time(step.Seconds()), *jobs)
+		s, err = zccloud.BuildTraceSeriesFile(path, zccloud.Time(step.Seconds()))
 	}
 	if err != nil {
 		return err

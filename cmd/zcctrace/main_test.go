@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -235,23 +236,53 @@ func TestZCTTransparent(t *testing.T) {
 	}
 }
 
-// TestParallelIdentical checks -j N output matches -j 1 byte for byte
-// on a multi-block .zct trace.
+// TestParallelIdentical checks summary, hist, and series print the
+// same bytes whether a multi-block .zct file is decoded on one core or
+// four, and the same body (below the header line, which names the
+// input) when the trace arrives on stdin through the streaming scan.
 func TestParallelIdentical(t *testing.T) {
 	zct := zctTwin(t, "testdata/small.jsonl", 3)
 	for _, args := range [][]string{
-		{"summary"}, {"hist"}, {"series", "-step", "6h"},
+		{"summary"}, {"summary", "-markdown"}, {"hist"}, {"series", "-step", "6h"},
 	} {
-		one, _, err := runCmd(t, append(append([]string{args[0], "-j", "1"}, args[1:]...), zct)...)
-		if err != nil {
-			t.Fatalf("%v -j 1: %v", args, err)
+		at := func(procs int) string {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			out, _, err := runCmd(t, append(args, zct)...)
+			if err != nil {
+				t.Fatalf("%v at GOMAXPROCS=%d: %v", args, procs, err)
+			}
+			return out
 		}
-		many, _, err := runCmd(t, append(append([]string{args[0], "-j", "4"}, args[1:]...), zct)...)
-		if err != nil {
-			t.Fatalf("%v -j 4: %v", args, err)
+		one, four := at(1), at(4)
+		if one != four {
+			t.Errorf("%v: GOMAXPROCS=4 output differs from GOMAXPROCS=1:\n--- 1 ---\n%s\n--- 4 ---\n%s", args, one, four)
 		}
-		if one != many {
-			t.Errorf("%v: -j 4 output differs from -j 1:\n--- j1 ---\n%s\n--- j4 ---\n%s", args, one, many)
+
+		f, err := os.Open(zct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stdin := os.Stdin
+		os.Stdin = f
+		piped, _, err := runCmd(t, append(args, "-")...)
+		os.Stdin = stdin
+		f.Close()
+		if err != nil {
+			t.Fatalf("%v on stdin: %v", args, err)
+		}
+		body := func(s string) string { return s[strings.Index(s, "\n")+1:] }
+		if body(piped) != body(one) {
+			t.Errorf("%v: stdin output differs from the file path's:\n--- stdin ---\n%s\n--- path ---\n%s", args, piped, one)
+		}
+	}
+}
+
+// TestSeriesStepRefused checks series refuses a sample step that is
+// not positive instead of quietly sampling hourly.
+func TestSeriesStepRefused(t *testing.T) {
+	for _, step := range []string{"0", "-1h"} {
+		if _, _, err := runCmd(t, "series", "-step", step, "testdata/small.jsonl"); err == nil || !strings.Contains(err.Error(), "-step must be positive") {
+			t.Errorf("series -step %s: error %v, want a refusal", step, err)
 		}
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"runtime"
+	"sync"
 
 	"zccloud/internal/obs"
 )
@@ -210,8 +212,7 @@ type Reader struct {
 // return ErrFormat (gzipped traces have no random access; use a
 // Scanner for those).
 func NewReader(r io.ReaderAt, size int64) (*Reader, error) {
-	var magic [len(Magic)]byte
-	if _, err := r.ReadAt(magic[:], 0); err != nil || string(magic[:]) != Magic {
+	if !hasMagic(r) {
 		return nil, ErrFormat
 	}
 	rd := &Reader{r: r, size: size}
@@ -225,6 +226,12 @@ func NewReader(r io.ReaderAt, size int64) (*Reader, error) {
 	}
 	rd.blocks = blocks
 	return rd, nil
+}
+
+func hasMagic(r io.ReaderAt) bool {
+	var magic [len(Magic)]byte
+	_, err := r.ReadAt(magic[:], 0)
+	return err == nil && string(magic[:]) == Magic
 }
 
 // readFooterIndex tries the fixed-position trailer; any defect —
@@ -310,33 +317,132 @@ func (r *Reader) Events() int {
 // DecodeBlockAt decodes block i, appending its events to buf (returned
 // re-sliced). Safe for concurrent calls with distinct buffers.
 func (r *Reader) DecodeBlockAt(i int, buf []obs.Event) ([]obs.Event, error) {
+	buf, _, err := r.decodeBlockAt(i, buf, nil)
+	return buf, err
+}
+
+// decodeBlockAt is DecodeBlockAt reading the frame into scratch, which
+// it returns grown for reuse by the next call.
+func (r *Reader) decodeBlockAt(i int, buf []obs.Event, scratch []byte) ([]obs.Event, []byte, error) {
 	info := r.blocks[i]
 	var hdr [4]byte
 	if _, err := r.r.ReadAt(hdr[:], info.Offset); err != nil {
-		return buf, fmt.Errorf("tracebin: block %d: %w", i, err)
+		return buf, scratch, fmt.Errorf("tracebin: block %d: %w", i, err)
 	}
 	n := int64(binary.LittleEndian.Uint32(hdr[:]))
 	if n == 0 || n > maxFramePayload || info.Offset+4+n+4 > r.size {
-		return buf, fmt.Errorf("tracebin: block %d has implausible frame length %d", i, n)
+		return buf, scratch, fmt.Errorf("tracebin: block %d has implausible frame length %d", i, n)
 	}
-	body := make([]byte, n+4)
+	if int64(cap(scratch)) < n+4 {
+		scratch = make([]byte, n+4)
+	}
+	body := scratch[:n+4]
 	if _, err := r.r.ReadAt(body, info.Offset+4); err != nil {
-		return buf, fmt.Errorf("tracebin: block %d: %w", i, err)
+		return buf, scratch, fmt.Errorf("tracebin: block %d: %w", i, err)
 	}
 	payload := body[:n]
 	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(body[n:]) {
-		return buf, fmt.Errorf("tracebin: block %d failed its CRC32 check", i)
+		return buf, scratch, fmt.Errorf("tracebin: block %d failed its CRC32 check", i)
 	}
 	base := len(buf)
 	buf, err := DecodeBlock(payload, buf)
 	if err != nil {
-		return buf, fmt.Errorf("tracebin: block %d: %w", i, err)
+		return buf, scratch, fmt.Errorf("tracebin: block %d: %w", i, err)
 	}
 	if len(buf)-base != info.Events {
-		return buf[:base], fmt.Errorf("tracebin: block %d holds %d events, index says %d",
+		return buf[:base], scratch, fmt.Errorf("tracebin: block %d holds %d events, index says %d",
 			i, len(buf)-base, info.Events)
 	}
-	return buf, nil
+	return buf, scratch, nil
+}
+
+// scan hands every event to fn in file order while workers goroutines
+// decode blocks ahead of it; at most 2*workers decoded blocks wait for
+// fn. The first error, from a block or from fn, ends the scan, and no
+// worker is left running when scan returns. fn runs on the caller's
+// goroutine.
+func (r *Reader) scan(workers int, fn func(obs.Event) error) error {
+	n := len(r.blocks)
+	workers = max(1, min(workers, n))
+	window := 2 * workers
+	type decoded struct {
+		events []obs.Event
+		err    error
+	}
+	type job struct {
+		block  int
+		events []obs.Event // a consumed block's buffer, for reuse
+	}
+	// At most window blocks are queued or decoded but unconsumed, and
+	// block i+window is queued only once block i is consumed, so no
+	// send on jobs or on a slot ever blocks.
+	jobs := make(chan job, window)
+	slots := make([]chan decoded, window) // block i lands in slots[i%window]
+	for k := range slots {
+		slots[k] = make(chan decoded, 1)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var scratch []byte
+			for j := range jobs {
+				var d decoded
+				d.events, scratch, d.err = r.decodeBlockAt(j.block, j.events, scratch)
+				slots[j.block%window] <- d
+			}
+		}()
+	}
+	// On an early return the workers finish the blocks already queued,
+	// which no one reads, and exit.
+	defer func() {
+		close(jobs)
+		wg.Wait()
+	}()
+	for i := 0; i < min(window, n); i++ {
+		jobs <- job{block: i}
+	}
+	for i := 0; i < n; i++ {
+		d := <-slots[i%window]
+		if d.err != nil {
+			return d.err
+		}
+		for _, e := range d.events {
+			if err := fn(e); err != nil {
+				return err
+			}
+		}
+		if next := i + window; next < n {
+			jobs <- job{block: next, events: d.events[:0]}
+		}
+	}
+	return nil
+}
+
+// ScanFile streams every event of the trace file at path through fn,
+// in file order, like ReadAny. A .zct file with an intact footer index
+// has its blocks decoded on GOMAXPROCS goroutines ahead of fn, with
+// memory bounded by a few blocks per goroutine; any other input —
+// JSONL, gzip, a torn .zct — goes through the streaming Scanner,
+// chosen by content as ReadAny does. fn runs on the caller's goroutine.
+func ScanFile(path string, fn func(obs.Event) error) error {
+	return scanFile(path, runtime.GOMAXPROCS(0), fn)
+}
+
+func scanFile(path string, workers int, fn func(obs.Event) error) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	if st, err := f.Stat(); err == nil && hasMagic(f) {
+		if blocks, ok := readFooterIndex(f, st.Size()); ok {
+			defer f.Close()
+			r := &Reader{r: f, size: st.Size(), blocks: blocks, indexed: true}
+			return r.scan(workers, fn)
+		}
+	}
+	return ReadAny(f, fn) // ReadAt leaves the offset at 0; the Scanner closes f
 }
 
 // FileReader is a Reader over an opened file.

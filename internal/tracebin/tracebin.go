@@ -11,7 +11,10 @@
 //
 // CreateSink opens the one atomic trace file type, File, whose output
 // lands on Commit. Scanner and ReadAny are the one streaming read path:
-// they sniff the content, never the file name. Both encoders refuse
+// they sniff the content, never the file name. ScanFile reads a path
+// the same way, but decodes an indexed .zct file's blocks on
+// GOMAXPROCS goroutines while still handing events over in file
+// order. Both encoders refuse
 // events with a non-finite time or detail, so every .zct trace exports
 // to JSONL.
 //
@@ -61,8 +64,8 @@
 //	                        f64le   minTime
 //	                        f64le   maxTime )
 //
-// Readers with random access (Reader) use it to fan block decodes
-// across CPU cores and to skip blocks by time range. A file whose
+// Readers with random access (Reader, ScanFile) use it to fan block
+// decodes across CPU cores and to skip blocks by time range. A file whose
 // trailer is missing or torn — the signature of a crash mid-write — is
 // still fully readable: the reader falls back to a sequential frame
 // scan, and a torn final block is skipped exactly like the torn tail of

@@ -7,11 +7,13 @@
 //
 // Everything here is derived purely from trace records — a trace is a
 // complete record of the scheduler's decisions — so analyses reproduce
-// exactly across runs and machines. Every view streams its input with
-// memory bounded by one trace block, regardless of trace size; for
-// .zct files SummarizeFile and BuildSeriesFile additionally fan block
-// decodes across CPU cores with output bit-identical to the
-// sequential scan.
+// exactly across runs and machines. Every view is one sequential fold
+// over the trace's events, with memory bounded by a few trace blocks
+// regardless of trace size. SummarizeFile and BuildSeriesFile read a
+// path through tracebin.ScanFile, which decodes an indexed .zct file's
+// blocks on every core (GOMAXPROCS bounds the decode) and still hands
+// the fold each event in file order, so their output is the io.Reader
+// view's, byte for byte.
 package traceview
 
 import (
@@ -64,27 +66,21 @@ type Summary struct {
 	Partitions []string
 }
 
-// summaryAcc accumulates summary state over a run of consecutive
-// events. Accumulators over adjacent runs merge in order, so a
-// block-parallel scan produces exactly the sequential result.
+// summaryAcc accumulates summary state over a trace's events.
 type summaryAcc struct {
 	s     Summary
-	kinds map[string]int
+	kinds [256]int // indexed by obs.EventKind
 	parts map[string]bool
 	waits []float64
 }
 
-func newSummaryAcc() *summaryAcc {
-	return &summaryAcc{kinds: make(map[string]int), parts: make(map[string]bool)}
-}
-
-func (a *summaryAcc) add(e obs.Event) {
+func (a *summaryAcc) add(e obs.Event) error {
 	if a.s.Events == 0 {
 		a.s.FirstDays = float64(e.Time) / float64(sim.Day)
 	}
 	a.s.Events++
 	a.s.LastDays = float64(e.Time) / float64(sim.Day)
-	a.kinds[e.Kind.String()]++
+	a.kinds[e.Kind]++
 	if e.Partition != "" {
 		a.parts[e.Partition] = true
 	}
@@ -110,39 +106,10 @@ func (a *summaryAcc) add(e obs.Event) {
 	case obs.EvUnrunnable:
 		a.s.Unrunnable++
 	}
+	return nil
 }
 
-// merge folds o — covering the events immediately after a's — into a.
-func (a *summaryAcc) merge(o *summaryAcc) {
-	if o.s.Events == 0 {
-		return
-	}
-	if a.s.Events == 0 {
-		a.s.FirstDays = o.s.FirstDays
-	}
-	a.s.Events += o.s.Events
-	a.s.LastDays = o.s.LastDays
-	for k, n := range o.kinds {
-		a.kinds[k] += n
-	}
-	for p := range o.parts {
-		a.parts[p] = true
-	}
-	a.waits = append(a.waits, o.waits...)
-	a.s.Arrived += o.s.Arrived
-	a.s.Completed += o.s.Completed
-	a.s.Started += o.s.Started
-	a.s.Backfilled += o.s.Backfilled
-	a.s.Killed += o.s.Killed
-	a.s.Requeued += o.s.Requeued
-	a.s.Abandoned += o.s.Abandoned
-	a.s.Pinned += o.s.Pinned
-	a.s.Unrunnable += o.s.Unrunnable
-}
-
-// finalize computes the derived statistics. The waits are sorted here,
-// so any accumulation order that preserves the multiset yields
-// identical results.
+// finalize computes the derived statistics.
 func (a *summaryAcc) finalize() *Summary {
 	s := a.s
 	if len(a.waits) > 0 {
@@ -159,7 +126,10 @@ func (a *summaryAcc) finalize() *Summary {
 	}
 	span := s.LastDays - s.FirstDays
 	for k, n := range a.kinds {
-		kc := KindCount{Kind: k, Count: n}
+		if n == 0 {
+			continue
+		}
+		kc := KindCount{Kind: obs.EventKind(k).String(), Count: n}
 		if span > 0 {
 			kc.PerDay = float64(n) / span
 		}
@@ -178,14 +148,29 @@ func (a *summaryAcc) finalize() *Summary {
 	return &s
 }
 
+// A scanFunc streams a trace's events through fn in order:
+// tracebin.ReadAny over a reader or tracebin.ScanFile over a path.
+type scanFunc func(fn func(obs.Event) error) error
+
+func readerScan(r io.Reader) scanFunc {
+	return func(fn func(obs.Event) error) error { return tracebin.ReadAny(r, fn) }
+}
+
+func fileScan(path string) scanFunc {
+	return func(fn func(obs.Event) error) error { return tracebin.ScanFile(path, fn) }
+}
+
 // Summarize digests a trace in any supported format (JSONL or .zct,
 // plain or gzipped).
-func Summarize(r io.Reader) (*Summary, error) {
-	acc := newSummaryAcc()
-	if err := tracebin.ReadAny(r, func(e obs.Event) error {
-		acc.add(e)
-		return nil
-	}); err != nil {
+func Summarize(r io.Reader) (*Summary, error) { return summarize(readerScan(r)) }
+
+// SummarizeFile digests the trace file at path; the result is
+// Summarize's on the same trace.
+func SummarizeFile(path string) (*Summary, error) { return summarize(fileScan(path)) }
+
+func summarize(scan scanFunc) (*Summary, error) {
+	acc := &summaryAcc{parts: make(map[string]bool)}
+	if err := scan(acc.add); err != nil {
 		return nil, err
 	}
 	return acc.finalize(), nil
@@ -225,9 +210,19 @@ func (s *Series) Utilization(p SeriesPoint, i int) float64 {
 	return float64(p.Busy[i]) / float64(s.Sizes[i])
 }
 
-// BuildSeries samples a trace's reconstructed state every step. It
-// accepts any supported trace format.
+// BuildSeries samples a trace's reconstructed state every step (hourly
+// when step <= 0). It accepts any supported trace format.
 func BuildSeries(r io.Reader, step sim.Duration) (*Series, error) {
+	return buildSeries(readerScan(r), step)
+}
+
+// BuildSeriesFile samples the trace file at path every step; the
+// result is BuildSeries's on the same trace.
+func BuildSeriesFile(path string, step sim.Duration) (*Series, error) {
+	return buildSeries(fileScan(path), step)
+}
+
+func buildSeries(scan scanFunc, step sim.Duration) (*Series, error) {
 	if step <= 0 {
 		step = sim.Hour
 	}
@@ -262,7 +257,7 @@ func BuildSeries(r io.Reader, step sim.Duration) (*Series, error) {
 			busy           map[string]int
 		}{float64(next) / float64(sim.Day), queue, running, busy})
 	}
-	err := tracebin.ReadAny(r, func(e obs.Event) error {
+	err := scan(func(e obs.Event) error {
 		for e.Time >= next {
 			sample()
 			next += step

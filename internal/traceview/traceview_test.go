@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"zccloud/internal/obs"
@@ -17,8 +18,8 @@ import (
 // genTrace synthesizes a scheduler-shaped event stream: arrivals,
 // enqueues carrying authoritative queue depth, starts/finishes across
 // partitions, window transitions, occasional kills — enough state churn
-// to exercise every transfer-function path (queue clamp, busy deltas,
-// size last-wins) across many blocks.
+// to exercise every series path (queue clamp, busy deltas, size
+// last-wins) across many blocks.
 func genTrace(n int) []obs.Event {
 	rng := rand.New(rand.NewSource(7))
 	parts := []string{"green", "grid"}
@@ -70,8 +71,8 @@ func genTrace(n int) []obs.Event {
 }
 
 // writeZCT writes events to path as .zct with small blocks so the
-// parallel scans see many of them.
-func writeZCT(t *testing.T, path string, events []obs.Event, blockEvents int) {
+// block-parallel scans see many of them.
+func writeZCT(t testing.TB, path string, events []obs.Event, blockEvents int) {
 	t.Helper()
 	f, err := os.Create(path)
 	if err != nil {
@@ -111,38 +112,71 @@ func writeJSONLGz(t *testing.T, path string, events []obs.Event) {
 	}
 }
 
+// withProcs runs fn with GOMAXPROCS set to procs, the worker count
+// tracebin.ScanFile decodes .zct blocks on.
+func withProcs(procs int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	fn()
+}
+
+// workerCounts spans one worker, fewer workers than blocks, and more.
+var workerCounts = []int{1, 2, 4, 16}
+
+func summarizePath(t *testing.T, path string) *Summary {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	s, err := Summarize(f)
+	if err != nil {
+		t.Fatalf("Summarize(%s): %v", path, err)
+	}
+	return s
+}
+
+func seriesPath(t *testing.T, path string, step sim.Duration) *Series {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	s, err := BuildSeries(f, step)
+	if err != nil {
+		t.Fatalf("BuildSeries(%s): %v", path, err)
+	}
+	return s
+}
+
+// TestSummarizeFileParallelMatchesSequential checks the block-parallel
+// file scan digests exactly what the streaming io.Reader scan does, at
+// every worker count and for every input format.
 func TestSummarizeFileParallelMatchesSequential(t *testing.T) {
 	events := genTrace(5000)
 	dir := t.TempDir()
 	zct := filepath.Join(dir, "t.zct")
 	writeZCT(t, zct, events, 128)
+	jz := filepath.Join(dir, "t.jsonl.gz")
+	writeJSONLGz(t, jz, events)
 
-	seq, err := SummarizeFile(zct, 1)
-	if err != nil {
-		t.Fatalf("sequential: %v", err)
-	}
+	seq := summarizePath(t, zct)
 	if seq.Events != len(events) {
 		t.Fatalf("sequential read %d events, want %d", seq.Events, len(events))
 	}
-	for _, jobs := range []int{2, 4, 16} {
-		par, err := SummarizeFile(zct, jobs)
-		if err != nil {
-			t.Fatalf("jobs=%d: %v", jobs, err)
+	for _, workers := range workerCounts {
+		for _, path := range []string{zct, jz} {
+			var par *Summary
+			var err error
+			withProcs(workers, func() { par, err = SummarizeFile(path) })
+			if err != nil {
+				t.Fatalf("workers=%d %s: %v", workers, path, err)
+			}
+			if !reflect.DeepEqual(par, seq) {
+				t.Fatalf("workers=%d %s summary differs from sequential:\npar %+v\nseq %+v", workers, path, par, seq)
+			}
 		}
-		if !reflect.DeepEqual(par, seq) {
-			t.Fatalf("jobs=%d summary differs from sequential:\npar %+v\nseq %+v", jobs, par, seq)
-		}
-	}
-
-	// The same events as JSONL.gz summarize identically (minus nothing).
-	jz := filepath.Join(dir, "t.jsonl.gz")
-	writeJSONLGz(t, jz, events)
-	viaJSONL, err := SummarizeFile(jz, 4) // falls back to sequential sniffing
-	if err != nil {
-		t.Fatalf("jsonl.gz: %v", err)
-	}
-	if !reflect.DeepEqual(viaJSONL, seq) {
-		t.Fatalf("jsonl.gz summary differs from .zct summary")
 	}
 }
 
@@ -153,41 +187,34 @@ func TestBuildSeriesFileParallelMatchesSequential(t *testing.T) {
 	writeZCT(t, zct, events, 64)
 
 	for _, step := range []sim.Duration{0, sim.Hour, 13 * sim.Duration(sim.Hour) / 7} {
-		seq, err := BuildSeriesFile(zct, step, 1)
-		if err != nil {
-			t.Fatalf("sequential: %v", err)
-		}
+		seq := seriesPath(t, zct, step)
 		if len(seq.Points) == 0 || len(seq.Parts) == 0 {
 			t.Fatalf("sequential series is degenerate: %d points, %d parts", len(seq.Points), len(seq.Parts))
 		}
-		for _, jobs := range []int{2, 8} {
-			par, err := BuildSeriesFile(zct, step, jobs)
+		for _, workers := range workerCounts {
+			var par *Series
+			var err error
+			withProcs(workers, func() { par, err = BuildSeriesFile(zct, step) })
 			if err != nil {
-				t.Fatalf("step=%v jobs=%d: %v", step, jobs, err)
+				t.Fatalf("step=%v workers=%d: %v", step, workers, err)
 			}
 			if !reflect.DeepEqual(par, seq) {
-				t.Fatalf("step=%v jobs=%d series differs from sequential", step, jobs)
+				t.Fatalf("step=%v workers=%d series differs from sequential", step, workers)
 			}
 		}
 	}
 }
 
 // TestBuildSeriesFileEmptyAndTorn pins the edge cases: an empty trace
-// yields the sequential single sample, and a torn .zct still scans.
+// yields the sequential single sample, and a torn .zct (no footer
+// index) still scans.
 func TestBuildSeriesFileEmptyAndTorn(t *testing.T) {
 	dir := t.TempDir()
 	empty := filepath.Join(dir, "empty.zct")
 	writeZCT(t, empty, nil, 0)
-	seq, err := BuildSeriesFile(empty, sim.Hour, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := BuildSeriesFile(empty, sim.Hour, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(par, seq) || len(seq.Points) != 1 {
-		t.Fatalf("empty trace: par %+v seq %+v", par, seq)
+	seq := seriesPath(t, empty, sim.Hour)
+	if len(seq.Points) != 1 {
+		t.Fatalf("empty trace: %d points, want 1", len(seq.Points))
 	}
 
 	events := genTrace(1000)
@@ -201,16 +228,22 @@ func TestBuildSeriesFileEmptyAndTorn(t *testing.T) {
 	if err := os.WriteFile(torn, data[:len(data)-37], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	seqT, err := BuildSeriesFile(torn, sim.Hour, 1)
-	if err != nil {
-		t.Fatalf("torn sequential: %v", err)
-	}
-	parT, err := BuildSeriesFile(torn, sim.Hour, 4)
-	if err != nil {
-		t.Fatalf("torn parallel: %v", err)
-	}
-	if !reflect.DeepEqual(parT, seqT) {
-		t.Fatalf("torn series differs between parallel and sequential")
+	seqT := seriesPath(t, torn, sim.Hour)
+	for _, workers := range workerCounts {
+		for _, c := range []struct {
+			path string
+			want *Series
+		}{{empty, seq}, {torn, seqT}} {
+			var par *Series
+			var err error
+			withProcs(workers, func() { par, err = BuildSeriesFile(c.path, sim.Hour) })
+			if err != nil {
+				t.Fatalf("workers=%d %s: %v", workers, c.path, err)
+			}
+			if !reflect.DeepEqual(par, c.want) {
+				t.Fatalf("workers=%d %s: series differs from sequential", workers, c.path)
+			}
+		}
 	}
 }
 

@@ -72,8 +72,9 @@ fi
 
 echo "== binary trace round-trip fidelity"
 # The same seeded run traced to .zct then exported must be byte-identical
-# to the run traced straight to JSONL, and block-parallel zcctrace scans
-# must produce exactly the sequential output on either format.
+# to the run traced straight to JSONL; zcctrace's block-parallel .zct
+# scans must print the same bytes on one core as on four, and the same
+# body as the streaming scan of stdin and of the JSONL twin.
 go build -o "$tmpdir/zcctrace" ./cmd/zcctrace
 "$tmpdir/zccsim" -days 7 -mira-nodes 2048 -zc-factor 1 -zc-duty 0.5 \
 	-kill-requeue -mtbf 12 -brownout 0.25 -forecast-err 0.5 -retry-limit 4 \
@@ -83,24 +84,30 @@ if ! cmp -s "$tmpdir/t1.jsonl" "$tmpdir/t3.exported.jsonl"; then
 	echo "zcctrace export of .zct differs from a direct JSONL trace" >&2
 	exit 1
 fi
-"$tmpdir/zcctrace" summary -j 1 "$tmpdir/t3.zct" >"$tmpdir/sum.j1"
-"$tmpdir/zcctrace" summary -j 4 "$tmpdir/t3.zct" >"$tmpdir/sum.j4"
+GOMAXPROCS=1 "$tmpdir/zcctrace" summary "$tmpdir/t3.zct" >"$tmpdir/sum.p1"
+GOMAXPROCS=4 "$tmpdir/zcctrace" summary "$tmpdir/t3.zct" >"$tmpdir/sum.p4"
+"$tmpdir/zcctrace" summary - <"$tmpdir/t3.zct" >"$tmpdir/sum.stdin"
 "$tmpdir/zcctrace" summary "$tmpdir/t1.jsonl" >"$tmpdir/sum.jsonl"
-if ! cmp -s "$tmpdir/sum.j1" "$tmpdir/sum.j4"; then
-	echo "zcctrace summary -j 4 diverges from -j 1" >&2
+if ! cmp -s "$tmpdir/sum.p1" "$tmpdir/sum.p4"; then
+	echo "zcctrace summary diverges between GOMAXPROCS=4 and GOMAXPROCS=1" >&2
 	exit 1
 fi
-# Cross-format: identical below the header line, which names the input.
-tail -n +2 "$tmpdir/sum.j1" >"$tmpdir/sum.j1.body"
+# Across inputs: identical below the header line, which names the input.
+tail -n +2 "$tmpdir/sum.p1" >"$tmpdir/sum.p1.body"
+tail -n +2 "$tmpdir/sum.stdin" >"$tmpdir/sum.stdin.body"
 tail -n +2 "$tmpdir/sum.jsonl" >"$tmpdir/sum.jsonl.body"
-if ! cmp -s "$tmpdir/sum.j1.body" "$tmpdir/sum.jsonl.body"; then
+if ! cmp -s "$tmpdir/sum.p1.body" "$tmpdir/sum.stdin.body"; then
+	echo "zcctrace summary diverges between a .zct path and the same trace on stdin" >&2
+	exit 1
+fi
+if ! cmp -s "$tmpdir/sum.p1.body" "$tmpdir/sum.jsonl.body"; then
 	echo "zcctrace summary diverges between .zct and JSONL inputs" >&2
 	exit 1
 fi
-"$tmpdir/zcctrace" series -step 6h -j 1 "$tmpdir/t3.zct" >"$tmpdir/ser.j1"
-"$tmpdir/zcctrace" series -step 6h -j 4 "$tmpdir/t3.zct" >"$tmpdir/ser.j4"
-if ! cmp -s "$tmpdir/ser.j1" "$tmpdir/ser.j4"; then
-	echo "zcctrace series -j 4 diverges from -j 1" >&2
+GOMAXPROCS=1 "$tmpdir/zcctrace" series -step 6h "$tmpdir/t3.zct" >"$tmpdir/ser.p1"
+GOMAXPROCS=4 "$tmpdir/zcctrace" series -step 6h "$tmpdir/t3.zct" >"$tmpdir/ser.p4"
+if ! cmp -s "$tmpdir/ser.p1" "$tmpdir/ser.p4"; then
+	echo "zcctrace series diverges between GOMAXPROCS=4 and GOMAXPROCS=1" >&2
 	exit 1
 fi
 

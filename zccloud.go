@@ -689,8 +689,9 @@ type TraceSummary = traceview.Summary
 // SummarizeTrace digests a trace stream.
 var SummarizeTrace = traceview.Summarize
 
-// SummarizeTraceFile digests a trace file, fanning .zct block decodes
-// across up to jobs goroutines; output is identical to SummarizeTrace.
+// SummarizeTraceFile digests a trace file; output is identical to
+// SummarizeTrace. An indexed .zct file's blocks are decoded on
+// GOMAXPROCS goroutines.
 var SummarizeTraceFile = traceview.SummarizeFile
 
 // TraceSeries is a queue/utilization time series sampled from a trace.
@@ -702,8 +703,9 @@ type TraceSeriesPoint = traceview.SeriesPoint
 // BuildTraceSeries samples a trace's reconstructed state every step.
 var BuildTraceSeries = traceview.BuildSeries
 
-// BuildTraceSeriesFile samples a trace file, fanning .zct block work
-// across up to jobs goroutines; output is identical to BuildTraceSeries.
+// BuildTraceSeriesFile samples a trace file; output is identical to
+// BuildTraceSeries. An indexed .zct file's blocks are decoded on
+// GOMAXPROCS goroutines.
 var BuildTraceSeriesFile = traceview.BuildSeriesFile
 
 // TraceWaits is the wait-time breakdown by size bin and on-time class.
