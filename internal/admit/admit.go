@@ -122,9 +122,6 @@ func NewEnvelope(wins []Window, horizon sim.Duration, pred Predictor) (*Envelope
 // Windows returns the normalized schedule (read-only).
 func (e *Envelope) Windows() []Window { return e.wins }
 
-// Horizon returns the loop period (zero when the schedule plays once).
-func (e *Envelope) Horizon() sim.Duration { return e.horizon }
-
 // cursor locates t in the schedule: the base offset of t's replay cycle
 // and the index of the first window whose end (within the cycle) is
 // after the cycle-local phase of t.

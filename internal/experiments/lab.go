@@ -139,12 +139,6 @@ func (l *Lab) Trace(scale float64) (*job.Trace, error) {
 	return l.clone(traceSpec{scale: scale})
 }
 
-// BurstTrace returns a Burst-shaped trace at the given scale, with 2x
-// node-hours during the given uptime windows (paper, Figure 7).
-func (l *Lab) BurstTrace(scale float64, up []availability.Window) (*job.Trace, error) {
-	return l.clone(traceSpec{scale: scale, burst: true, up: up})
-}
-
 // traceSpec names a workload trace in the Lab's memo.
 type traceSpec struct {
 	scale float64 // node-hours relative to the base trace

@@ -31,7 +31,6 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
-	"sort"
 
 	"zccloud/internal/availability"
 	"zccloud/internal/sim"
@@ -398,11 +397,4 @@ func MeanOutageNodesDown(outs []Outage, horizon sim.Time) float64 {
 		}
 	}
 	return nodeSec / float64(horizon)
-}
-
-// SortOutages orders a schedule by time (stable on node count); the
-// injector already returns sorted schedules, this is for callers that
-// merge several.
-func SortOutages(outs []Outage) {
-	sort.SliceStable(outs, func(i, j int) bool { return outs[i].At < outs[j].At })
 }

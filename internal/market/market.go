@@ -4,7 +4,10 @@
 //
 // Dispatch is a transport problem on the network tree: offers are taken
 // in price order, and each unit's output flows toward unserved load along
-// residual line capacity. The LMP at a bus is the offer price of the
+// residual line capacity. The search enters only subtrees that still hold
+// unserved load: a push into a region whose load is all served delivers
+// exactly 0 and changes no flow, so skipping it leaves every output, flow
+// and price bit-identical. The LMP at a bus is the offer price of the
 // cheapest unit with spare capacity that can still reach the bus through
 // non-congested lines — so a bus behind a saturated export line next to
 // curtailed wind sees the wind's negative offer, while import-constrained
@@ -55,10 +58,13 @@ type Engine struct {
 
 	// scratch
 	remaining []float64
-	local     []float64
-	down      []float64
-	up        []float64
-	cur       *Result // active result during Run
+	// pos[v] counts the buses in v's subtree (rooted at bus 0) whose
+	// remaining load is > 0; pos[0] is the whole network's count.
+	pos   []int32
+	local []float64
+	down  []float64
+	up    []float64
+	cur   *Result // active result during Run
 }
 
 // NewEngine prepares dispatch for a finalized network.
@@ -72,6 +78,7 @@ func NewEngine(net *powergrid.Network) (*Engine, error) {
 		parent:     make([]powergrid.BusID, nb),
 		parentLine: make([]int, nb),
 		remaining:  make([]float64, nb),
+		pos:        make([]int32, nb),
 		local:      make([]float64, nb),
 		down:       make([]float64, nb),
 		up:         make([]float64, nb),
@@ -139,7 +146,8 @@ func (e *Engine) prepare(r *Result) {
 
 // Run clears one interval. loadMW is demand per bus; genMaxMW is each
 // generator's offered maximum this interval (capacity factor × nameplate
-// for wind, nameplate for thermal). The outcome is written into res.
+// for wind, nameplate for thermal). Every entry must be finite and >= 0.
+// The outcome is written into res.
 func (e *Engine) Run(loadMW []float64, genMaxMW []float64, res *Result) error {
 	nb, ng := len(e.net.Buses), len(e.net.Gens)
 	if len(loadMW) != nb {
@@ -148,17 +156,37 @@ func (e *Engine) Run(loadMW []float64, genMaxMW []float64, res *Result) error {
 	if len(genMaxMW) != ng {
 		return fmt.Errorf("market: genMaxMW has %d entries, want %d", len(genMaxMW), ng)
 	}
+	for b, v := range loadMW {
+		if !(v >= 0) || math.IsInf(v, 1) {
+			return fmt.Errorf("market: loadMW[%d] = %v, want finite and >= 0", b, v)
+		}
+	}
+	for g, v := range genMaxMW {
+		if !(v >= 0) || math.IsInf(v, 1) {
+			return fmt.Errorf("market: genMaxMW[%d] = %v, want finite and >= 0", g, v)
+		}
+	}
 	e.prepare(res)
 	e.cur = res
 	defer func() { e.cur = nil }()
 	copy(res.LoadMW, loadMW)
 	copy(res.GenMaxMW, genMaxMW)
 	copy(e.remaining, loadMW)
+	clear(e.pos)
+	for i := len(e.bfsOrder) - 1; i >= 0; i-- {
+		v := e.bfsOrder[i]
+		if e.remaining[v] > 0 {
+			e.pos[v]++
+		}
+		if p := e.parent[v]; p >= 0 {
+			e.pos[p] += e.pos[v]
+		}
+	}
 
 	// Merit-order dispatch with tree transport.
 	for _, g := range e.order {
 		avail := genMaxMW[g]
-		if avail <= eps {
+		if avail <= eps || e.pos[0] == 0 {
 			res.GenOutputMW[g] = 0
 			continue
 		}
@@ -175,17 +203,36 @@ func (e *Engine) Run(loadMW []float64, genMaxMW []float64, res *Result) error {
 // push sends up to budget MW from bus toward unserved load, via DFS over
 // residual line capacity. from is the bus we arrived from (-1 at the
 // source). Returns MW actually delivered.
+//
+// The DFS enters a child only if pos says its subtree still holds
+// unserved load, and the parent only if some bus outside bus's subtree
+// does. A push into a fully served region would deliver exactly 0 and
+// add no flow, so the skipped calls change nothing. When bus's load
+// reaches exactly 0, pos is decremented on the path to the root.
 func (e *Engine) push(bus, from powergrid.BusID, budget float64, res *Result) float64 {
 	used := min(budget, e.remaining[bus])
 	e.remaining[bus] -= used
+	if used > 0 && e.remaining[bus] == 0 {
+		for v := bus; v >= 0; v = e.parent[v] {
+			e.pos[v]--
+		}
+	}
 	budget -= used
 	total := used
 	if budget <= eps {
 		return total
 	}
+	up := e.parent[bus]
 	for _, a := range e.net.Adjacency(bus) {
 		if a.To == from {
 			continue
+		}
+		if a.To == up {
+			if e.pos[0] == e.pos[bus] {
+				continue // nothing unserved outside bus's subtree
+			}
+		} else if e.pos[a.To] == 0 {
+			continue // a.To's subtree is fully served
 		}
 		r := e.residual(a.Line, bus)
 		if r <= eps {

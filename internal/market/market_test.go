@@ -132,6 +132,20 @@ func TestRunValidation(t *testing.T) {
 	if err := e.Run([]float64{1, 1, 1}, []float64{1}, &res); err == nil {
 		t.Error("wrong genMaxMW length should fail")
 	}
+	// Dispatch prunes on remaining load > 0, so every input must be a
+	// finite quantity >= 0 (a negative load would raise a push's budget).
+	for _, bad := range []float64{-1, -1e-12, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := e.Run([]float64{0, bad, 100}, []float64{80, 500}, &res); err == nil {
+			t.Errorf("loadMW entry %v should fail", bad)
+		}
+		if err := e.Run([]float64{0, 60, 100}, []float64{80, bad}, &res); err == nil {
+			t.Errorf("genMaxMW entry %v should fail", bad)
+		}
+	}
+	// -0 is a zero, not a negative.
+	if err := e.Run([]float64{math.Copysign(0, -1), 60, 100}, []float64{80, math.Copysign(0, -1)}, &res); err != nil {
+		t.Errorf("negative zero refused: %v", err)
+	}
 }
 
 func TestResultReuseNoLeak(t *testing.T) {

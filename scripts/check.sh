@@ -74,20 +74,29 @@ echo "== binary trace round-trip fidelity"
 # The same seeded run traced to .zct then exported must be byte-identical
 # to the run traced straight to JSONL; zcctrace's block-parallel .zct
 # scans must print the same bytes on one core as on four, and the same
-# body as the streaming scan of stdin and of the JSONL twin.
+# body as the streaming scan of stdin and of the JSONL twin. The run is
+# 28 days of full Mira so that the trace spans several 4096-event blocks
+# (tracebin.DefaultBlockEvents) and the cmps can see a cross-block fault.
 go build -o "$tmpdir/zcctrace" ./cmd/zcctrace
-"$tmpdir/zccsim" -days 7 -mira-nodes 2048 -zc-factor 1 -zc-duty 0.5 \
-	-kill-requeue -mtbf 12 -brownout 0.25 -forecast-err 0.5 -retry-limit 4 \
-	-seed 7 -trace "$tmpdir/t3.zct" >/dev/null
+for f in t3.jsonl t3.zct; do
+	"$tmpdir/zccsim" -days 28 -zc-factor 1 -zc-duty 0.5 \
+		-kill-requeue -mtbf 12 -brownout 0.25 -forecast-err 0.5 -retry-limit 4 \
+		-seed 7 -trace "$tmpdir/$f" >/dev/null
+done
 "$tmpdir/zcctrace" export "$tmpdir/t3.zct" >"$tmpdir/t3.exported.jsonl"
-if ! cmp -s "$tmpdir/t1.jsonl" "$tmpdir/t3.exported.jsonl"; then
+if ! cmp -s "$tmpdir/t3.jsonl" "$tmpdir/t3.exported.jsonl"; then
 	echo "zcctrace export of .zct differs from a direct JSONL trace" >&2
 	exit 1
 fi
 GOMAXPROCS=1 "$tmpdir/zcctrace" summary "$tmpdir/t3.zct" >"$tmpdir/sum.p1"
 GOMAXPROCS=4 "$tmpdir/zcctrace" summary "$tmpdir/t3.zct" >"$tmpdir/sum.p4"
 "$tmpdir/zcctrace" summary - <"$tmpdir/t3.zct" >"$tmpdir/sum.stdin"
-"$tmpdir/zcctrace" summary "$tmpdir/t1.jsonl" >"$tmpdir/sum.jsonl"
+"$tmpdir/zcctrace" summary "$tmpdir/t3.jsonl" >"$tmpdir/sum.jsonl"
+events=$(awk '$1 == "Events" { print $2 }' "$tmpdir/sum.p1")
+if [ "${events:-0}" -le $((2 * 4096)) ]; then
+	echo "binary trace holds ${events:-0} events, fewer than three 4096-event blocks" >&2
+	exit 1
+fi
 if ! cmp -s "$tmpdir/sum.p1" "$tmpdir/sum.p4"; then
 	echo "zcctrace summary diverges between GOMAXPROCS=4 and GOMAXPROCS=1" >&2
 	exit 1
